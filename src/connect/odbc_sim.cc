@@ -80,34 +80,37 @@ StatusOr<OdbcExportResult> OdbcExporter::ExportTableOnce(
 
   OdbcExportResult result;
   std::string line;
+  storage::RowBatch batch;
   for (size_t p = 0; p < table.num_partitions(); ++p) {
-    storage::TableScanner scanner = table.partition(p).Scan();
-    while (scanner.Next()) {
-      const storage::Row& row = scanner.row();
-      line.clear();
-      for (size_t c = 0; c < row.size(); ++c) {
-        if (c > 0) line.push_back(',');
-        const storage::Datum& v = row[c];
-        if (v.is_null()) continue;  // empty field
-        switch (v.type()) {
-          case storage::DataType::kDouble:
-            AppendDouble(&line, v.double_value());
-            break;
-          case storage::DataType::kInt64:
-            line += std::to_string(v.int_value());
-            break;
-          case storage::DataType::kVarchar:
-            line += v.string_value();
-            break;
+    storage::BatchScanner scanner = table.partition(p).ScanBatch();
+    while (scanner.Next(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const storage::Row& row = batch.row(i);
+        line.clear();
+        for (size_t c = 0; c < row.size(); ++c) {
+          if (c > 0) line.push_back(',');
+          const storage::Datum& v = row[c];
+          if (v.is_null()) continue;  // empty field
+          switch (v.type()) {
+            case storage::DataType::kDouble:
+              AppendDouble(&line, v.double_value());
+              break;
+            case storage::DataType::kInt64:
+              line += std::to_string(v.int_value());
+              break;
+            case storage::DataType::kVarchar:
+              line += v.string_value();
+              break;
+          }
         }
+        line.push_back('\n');
+        if (std::fwrite(line.data(), 1, line.size(), file) != line.size()) {
+          std::fclose(file);
+          return Status::IOError("short write exporting to '" + path + "'");
+        }
+        result.bytes += line.size();
+        ++result.rows;
       }
-      line.push_back('\n');
-      if (std::fwrite(line.data(), 1, line.size(), file) != line.size()) {
-        std::fclose(file);
-        return Status::IOError("short write exporting to '" + path + "'");
-      }
-      result.bytes += line.size();
-      ++result.rows;
     }
     if (!scanner.status().ok()) {
       std::fclose(file);

@@ -159,7 +159,7 @@ StatusOr<ResultSet> Database::ExecuteSelect(const SelectStatement& select,
   exec::Planner planner(&catalog_, &registry_, pool_.get(),
                         storage::RowBatch::kDefaultCapacity,
                         options_.enable_column_cache, options_.morsel_rows,
-                        ctx, options_.enable_expr_compile && !force_interpreted,
+                        ctx, !force_interpreted,
                         bytecode_cache_.get(), view_registry_.get());
   NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan, planner.Plan(select));
   if (ctx != nullptr && ctx->stats() != nullptr) {
@@ -366,7 +366,7 @@ StatusOr<ResultSet> Database::ExecuteStatement(Statement& stmt,
             &catalog_, &registry_, pool_.get(),
             storage::RowBatch::kDefaultCapacity,
             options_.enable_column_cache, options_.morsel_rows, ctx,
-            options_.enable_expr_compile && !force_interpreted,
+            !force_interpreted,
             bytecode_cache_.get(), view_registry_.get());
         NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan,
                              planner.Plan(*stmt.select));
@@ -404,7 +404,7 @@ StatusOr<std::string> Database::Explain(std::string_view sql,
   exec::Planner planner(
       &catalog_, &registry_, pool_.get(), storage::RowBatch::kDefaultCapacity,
       options_.enable_column_cache, options_.morsel_rows, /*ctx=*/nullptr,
-      options_.enable_expr_compile && !query_options.force_interpreted,
+      !query_options.force_interpreted,
       bytecode_cache_.get(), view_registry_.get());
   NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan, planner.Plan(*stmt.select));
   return exec::ExplainPlan(*plan.root);

@@ -74,12 +74,6 @@ struct DatabaseOptions {
   /// and forced on for EXPLAIN ANALYZE regardless of this flag.
   bool collect_query_stats = true;
 
-  /// Compile bound expressions to bytecode and plan the columnar
-  /// pipeline where eligible (see DESIGN.md §11). Off plans every
-  /// statement on the pure interpreted row path — the differential
-  /// oracle. Results are bit-identical either way.
-  bool enable_expr_compile = true;
-
   /// Frame budget of the buffer pool backing spilled tables (see
   /// storage/buffer_pool.h); the pool is created lazily on the first
   /// SpillTable call, so databases that never spill pay nothing. The
@@ -128,10 +122,13 @@ struct QueryOptions {
   /// > 0 = budget in bytes.
   int64_t memory_limit = -1;
 
-  /// Force this statement onto the interpreted row path, as if
-  /// DatabaseOptions::enable_expr_compile were off. Used by the
-  /// differential tests and the ablation bench to compare the compiled
-  /// and interpreted paths on one database instance.
+  /// Plan this statement on the pure interpreted row path instead of
+  /// compiling expressions to bytecode and running the columnar
+  /// pipeline where eligible (DESIGN.md §11). Results are
+  /// bit-identical either way: the interpreted path is the
+  /// differential oracle. Used by the differential tests, the ablation
+  /// bench and the server's SET_OPTIONS to compare both paths on one
+  /// database instance.
   bool force_interpreted = false;
 
   /// Externally owned cancel token for this statement; null = the

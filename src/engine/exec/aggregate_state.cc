@@ -1,54 +1,222 @@
 #include "engine/exec/aggregate_state.h"
 
+#include <cstring>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "engine/exec/gather_node.h"
+#include "storage/column_batch.h"
 
 namespace nlq::engine::exec {
+namespace {
 
 using storage::DataType;
 using storage::Datum;
+using storage::NullBitGet;
 using storage::Row;
 
-StatusOr<GroupState> InitGroupState(const std::vector<AggregateSpec>& specs,
-                                    Row keys, MemoryTracker* memory) {
-  if (memory != nullptr) {
-    // Hash-table entry overhead: the group's key row plus the three
-    // parallel state vectors (heap segment charges ride on the
-    // segments themselves, below).
-    size_t bytes = sizeof(GroupState) + ApproxRowBytes(keys) +
-                   specs.size() * (sizeof(BuiltinAggState) +
-                                   sizeof(std::unique_ptr<udf::HeapSegment>) +
-                                   sizeof(void*));
-    NLQ_RETURN_IF_ERROR(memory->Charge(bytes, "hash-aggregate group"));
-  }
-  GroupState state;
-  state.keys = std::move(keys);
-  state.builtin.resize(specs.size());
-  state.heaps.resize(specs.size());
-  state.udf_states.resize(specs.size(), nullptr);
-  for (size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].kind != AggregateSpec::Kind::kUdf) continue;
-    NLQ_ASSIGN_OR_RETURN(state.heaps[i], udf::HeapSegment::Create(memory));
-    NLQ_ASSIGN_OR_RETURN(void* udf_state,
-                         specs[i].udaf->Init(state.heaps[i].get()));
-    state.udf_states[i] = udf_state;
-  }
-  return state;
+bool LaneNull(const ArgLane& x, size_t r) {
+  return x.nulls != nullptr && NullBitGet(x.nulls, r);
 }
 
-Status MergeGroup(const std::vector<AggregateSpec>& specs, GroupState* dst,
-                  GroupState* src) {
+double LaneDouble(const ArgLane& x, size_t r) {
+  return x.d != nullptr ? x.d[r] : static_cast<double>(x.i[r]);
+}
+
+/// Boxes lane value `r` exactly like BoxRegValue (NULLs become typed
+/// SQL NULLs).
+Datum LaneDatum(const ArgLane& x, size_t r) {
+  const DataType type = x.d != nullptr ? DataType::kDouble : DataType::kInt64;
+  if (LaneNull(x, r)) return Datum::Null(type);
+  return x.d != nullptr ? Datum::Double(x.d[r]) : Datum::Int64(x.i[r]);
+}
+
+ArgLane RegLane(const ExprVM::Reg& reg, DataType type) {
+  ArgLane lane;
+  if (type == DataType::kDouble) {
+    lane.d = reg.d.data();
+  } else {
+    lane.i = reg.i.data();
+  }
+  if (reg.has_nulls) lane.nulls = reg.nulls.data();
+  return lane;
+}
+
+/// A program that is one bare column load is read in place from the
+/// batch: fills `lane` and returns true. False for any other program.
+bool ColumnLane(const CompiledExpr& prog, const ColumnSpanBatch& batch,
+                const std::vector<int>& slot_to_col, ArgLane* lane) {
+  const std::vector<Instr>& code = prog.instructions();
+  if (code.size() != 1 || code[0].op != OpCode::kLoadCol) return false;
+  const int c = slot_to_col[code[0].slot];
+  lane->d = batch.doubles[c];
+  lane->i = batch.ints[c];
+  lane->nulls = batch.null_bits[c];
+  return true;
+}
+
+/// Lane of a builtin's single argument; a VM-evaluated lane aliases a
+/// register until the next evaluation.
+ArgLane BuiltinLane(const CompiledExpr& prog, const ColumnSpanBatch& batch,
+                    const std::vector<int>& slot_to_col, ExprVM* vm) {
+  ArgLane lane;
+  if (ColumnLane(prog, batch, slot_to_col, &lane)) return lane;
+  vm->EvalSpans(prog, batch, slot_to_col, batch.rows);
+  return RegLane(vm->result(prog), prog.result_type());
+}
+
+/// Fills scratch->lanes with every program argument of one UDF call,
+/// all valid at once: bare columns alias the batch, other programs'
+/// results are copied out of the VM.
+void LoadUdfLanes(const VectorAggSpec& args, const ColumnSpanBatch& batch,
+                  const std::vector<int>& slot_to_col, SpanScratch* s) {
+  const size_t ncols = args.progs.size();
+  s->lanes.resize(ncols);
+  if (s->regs.size() < ncols) s->regs.resize(ncols);
+  for (size_t a = 0; a < ncols; ++a) {
+    const CompiledExpr& prog = *args.progs[a];
+    if (ColumnLane(prog, batch, slot_to_col, &s->lanes[a])) continue;
+    s->vm.EvalSpans(prog, batch, slot_to_col, batch.rows);
+    s->vm.CopyResult(prog, batch.rows, &s->regs[a]);
+    s->lanes[a] = RegLane(s->regs[a], prog.result_type());
+  }
+}
+
+/// One UDF call over the batch through AccumulateSpans: widens BIGINT
+/// lanes to double and drops rows with a NULL in any argument by
+/// order-preserving compaction; without NULLs, DOUBLE lanes pass
+/// zero-copy.
+Status AccumulateUdfSpans(const AggregateSpec& spec, const VectorAggSpec& args,
+                          const ColumnSpanBatch& batch,
+                          const std::vector<int>& slot_to_col, void* state,
+                          SpanScratch* s) {
+  LoadUdfLanes(args, batch, slot_to_col, s);
+  const size_t ncols = args.progs.size();
+  const size_t rows = batch.rows;
+  bool any_nulls = false;
+  for (const ArgLane& x : s->lanes) any_nulls |= x.nulls != nullptr;
+  size_t out_rows = rows;
+  if (any_nulls) {
+    s->keep.assign(rows, 1);
+    for (const ArgLane& x : s->lanes) {
+      if (x.nulls == nullptr) continue;
+      for (size_t r = 0; r < rows; ++r) {
+        if (NullBitGet(x.nulls, r)) s->keep[r] = 0;
+      }
+    }
+    out_rows = 0;
+    for (size_t r = 0; r < rows; ++r) out_rows += s->keep[r];
+  }
+  NLQ_FAILPOINT("udf_accumulate");
+  if (s->cols.size() < ncols) s->cols.resize(ncols);
+  s->spans.resize(ncols);
+  for (size_t a = 0; a < ncols; ++a) {
+    const ArgLane& x = s->lanes[a];
+    if (!any_nulls && x.d != nullptr) {
+      s->spans[a] = x.d;
+      continue;
+    }
+    std::vector<double>& buf = s->cols[a];
+    buf.resize(out_rows);
+    size_t w = 0;
+    for (size_t r = 0; r < rows; ++r) {
+      if (any_nulls && !s->keep[r]) continue;
+      buf[w++] = LaneDouble(x, r);
+    }
+    s->spans[a] = buf.data();
+  }
+  return spec.udaf->AccumulateSpans(state, args.const_args, s->spans.data(),
+                                    ncols, out_rows);
+}
+
+/// One UDF call per row: boxed arguments into Accumulate, row r's
+/// state being `state_of(r)`.
+template <typename StateOf>
+Status AccumulateUdfRows(const AggregateSpec& spec, size_t i,
+                         const VectorAggSpec& args,
+                         const ColumnSpanBatch& batch,
+                         const std::vector<int>& slot_to_col, SpanScratch* s,
+                         StateOf state_of) {
+  LoadUdfLanes(args, batch, slot_to_col, s);
+  const size_t nconst = args.const_args.size();
+  s->row_args.resize(nconst + s->lanes.size());
+  for (size_t a = 0; a < nconst; ++a) s->row_args[a] = args.const_args[a];
+  for (size_t r = 0; r < batch.rows; ++r) {
+    for (size_t a = 0; a < s->lanes.size(); ++a) {
+      s->row_args[nconst + a] = LaneDatum(s->lanes[a], r);
+    }
+    NLQ_FAILPOINT("udf_accumulate");
+    NLQ_RETURN_IF_ERROR(
+        spec.udaf->Accumulate(state_of(r)->udf_states[i], s->row_args));
+  }
+  return Status::OK();
+}
+
+/// ROW phase of every spec over one batch, row r folding into
+/// `state_of(r)`. `global` (one state for the whole batch) lets
+/// span-capable UDFs take the batch in one AccumulateSpans call.
+template <typename StateOf>
+Status AccumulateBatch(const std::vector<AggregateSpec>& specs,
+                       const std::vector<VectorAggSpec>& args,
+                       const std::vector<int>& slot_to_col,
+                       const ColumnSpanBatch& batch, bool global,
+                       StateOf state_of, SpanScratch* s) {
+  const size_t n = batch.rows;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const AggregateSpec& spec = specs[i];
+    if (spec.kind == AggregateSpec::Kind::kCountStar) {
+      for (size_t r = 0; r < n; ++r) ++state_of(r)->builtin[i].count;
+      continue;
+    }
+    if (spec.kind == AggregateSpec::Kind::kUdf) {
+      if (global && spec.udaf->SupportsColumnarSpans() &&
+          !args[i].progs.empty()) {
+        NLQ_RETURN_IF_ERROR(AccumulateUdfSpans(
+            spec, args[i], batch, slot_to_col, state_of(0)->udf_states[i], s));
+      } else {
+        NLQ_RETURN_IF_ERROR(AccumulateUdfRows(spec, i, args[i], batch,
+                                              slot_to_col, s, state_of));
+      }
+      continue;
+    }
+    const ArgLane x =
+        BuiltinLane(*args[i].progs[0], batch, slot_to_col, &s->vm);
+    for (size_t r = 0; r < n; ++r) {
+      if (LaneNull(x, r)) continue;
+      UpdateBuiltin(spec.kind, LaneDouble(x, r), &state_of(r)->builtin[i]);
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status InitAggState(const std::vector<AggregateSpec>& specs,
+                    MemoryTracker* memory, AggState* state) {
+  state->builtin.assign(specs.size(), BuiltinAggState());
+  state->heaps.clear();
+  state->heaps.resize(specs.size());
+  state->udf_states.assign(specs.size(), nullptr);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].kind != AggregateSpec::Kind::kUdf) continue;
+    NLQ_ASSIGN_OR_RETURN(state->heaps[i], udf::HeapSegment::Create(memory));
+    NLQ_ASSIGN_OR_RETURN(state->udf_states[i],
+                         specs[i].udaf->Init(state->heaps[i].get()));
+  }
+  return Status::OK();
+}
+
+Status MergeAggState(const std::vector<AggregateSpec>& specs,
+                     const AggState& src, AggState* dst) {
   for (size_t i = 0; i < specs.size(); ++i) {
     if (specs[i].kind == AggregateSpec::Kind::kUdf) {
       NLQ_FAILPOINT("udf_merge");
       NLQ_RETURN_IF_ERROR(
-          specs[i].udaf->Merge(dst->udf_states[i], src->udf_states[i]));
+          specs[i].udaf->Merge(dst->udf_states[i], src.udf_states[i]));
       continue;
     }
     BuiltinAggState& d = dst->builtin[i];
-    const BuiltinAggState& s = src->builtin[i];
+    const BuiltinAggState& s = src.builtin[i];
     d.sum += s.sum;
     d.count += s.count;
     if (s.seen) {
@@ -60,8 +228,33 @@ Status MergeGroup(const std::vector<AggregateSpec>& specs, GroupState* dst,
   return Status::OK();
 }
 
-StatusOr<Row> FinalizeGroup(const std::vector<AggregateSpec>& specs,
-                            const GroupState& state) {
+Status CloneAggState(const std::vector<AggregateSpec>& specs,
+                     MemoryTracker* memory, const AggState& src,
+                     AggState* dst) {
+  NLQ_RETURN_IF_ERROR(InitAggState(specs, memory, dst));
+  dst->builtin = src.builtin;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].kind != AggregateSpec::Kind::kUdf) continue;
+    const size_t bytes = specs[i].udaf->RelocatableStateSize();
+    if (bytes == 0) {
+      return Status::Internal(specs[i].udaf->name() +
+                              " state is not relocatable; cannot clone");
+    }
+    std::memcpy(dst->udf_states[i], src.udf_states[i], bytes);
+  }
+  return Status::OK();
+}
+
+bool RelocatableSpecs(const std::vector<AggregateSpec>& specs) {
+  for (const AggregateSpec& spec : specs) {
+    if (spec.kind != AggregateSpec::Kind::kUdf) continue;
+    if (spec.udaf->RelocatableStateSize() == 0) return false;
+  }
+  return true;
+}
+
+StatusOr<Row> FinalizeAggState(const std::vector<AggregateSpec>& specs,
+                               const AggState& state) {
   Row out(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
     const AggregateSpec& spec = specs[i];
@@ -102,6 +295,47 @@ StatusOr<Row> FinalizeGroup(const std::vector<AggregateSpec>& specs,
   return out;
 }
 
+StatusOr<AggState*> FindOrInitGroup(const std::vector<AggregateSpec>& specs,
+                                    const Row& keys, MemoryTracker* memory,
+                                    GroupMap* groups) {
+  auto it = groups->find(keys);
+  if (it != groups->end()) return &it->second;
+  if (memory != nullptr) {
+    // Hash-table entry overhead: the key row plus the parallel state
+    // vectors (heap segment charges ride on the segments themselves).
+    const size_t bytes = sizeof(AggState) + ApproxRowBytes(keys) +
+                         specs.size() * (sizeof(BuiltinAggState) +
+                                         sizeof(std::unique_ptr<udf::HeapSegment>) +
+                                         sizeof(void*));
+    NLQ_RETURN_IF_ERROR(memory->Charge(bytes, "hash-aggregate group"));
+  }
+  AggState fresh;
+  NLQ_RETURN_IF_ERROR(InitAggState(specs, memory, &fresh));
+  return &groups->emplace(keys, std::move(fresh)).first->second;
+}
+
+Status EmitGroup(const BoundAggregation& agg, bool has_having,
+                 size_t num_output, const Row& keys, const Row& aggs,
+                 std::vector<Row>* out) {
+  Status error;
+  EvalContext ctx;
+  ctx.keys = &keys;
+  ctx.aggs = &aggs;
+  ctx.error = &error;
+  if (has_having) {
+    const Datum keep = agg.projections[num_output]->Eval(ctx);
+    NLQ_RETURN_IF_ERROR(error);
+    if (keep.is_null() || keep.AsDouble() == 0.0) return Status::OK();
+  }
+  Row row(num_output);
+  for (size_t c = 0; c < num_output; ++c) {
+    row[c] = agg.projections[c]->Eval(ctx);
+  }
+  NLQ_RETURN_IF_ERROR(error);
+  out->push_back(std::move(row));
+  return Status::OK();
+}
+
 StatusOr<std::vector<Row>> MergeAndFinalize(const BoundAggregation& agg,
                                             bool has_having, size_t num_output,
                                             std::vector<GroupMap>* partials,
@@ -114,7 +348,7 @@ StatusOr<std::vector<Row>> MergeAndFinalize(const BoundAggregation& agg,
       if (it == global.end()) {
         global.emplace(key, std::move(state));
       } else {
-        NLQ_RETURN_IF_ERROR(MergeGroup(agg.specs, &it->second, &state));
+        NLQ_RETURN_IF_ERROR(MergeAggState(agg.specs, state, &it->second));
       }
     }
     (*partials)[p].clear();
@@ -122,34 +356,39 @@ StatusOr<std::vector<Row>> MergeAndFinalize(const BoundAggregation& agg,
 
   // Global aggregate over empty input still yields one row.
   if (global.empty() && agg.key_exprs.empty()) {
-    NLQ_ASSIGN_OR_RETURN(GroupState fresh,
-                         InitGroupState(agg.specs, Row{}, memory));
-    global.emplace(Row{}, std::move(fresh));
+    NLQ_RETURN_IF_ERROR(
+        FindOrInitGroup(agg.specs, Row{}, memory, &global).status());
   }
 
   // FINALIZE phase: finalize aggregates, filter by HAVING, project.
   std::vector<Row> rows;
   rows.reserve(global.size());
-  Status error;
   for (const auto& [key, state] : global) {
-    NLQ_ASSIGN_OR_RETURN(Row agg_values, FinalizeGroup(agg.specs, state));
-    EvalContext ctx;
-    ctx.keys = &state.keys;
-    ctx.aggs = &agg_values;
-    ctx.error = &error;
-    if (has_having) {
-      const Datum keep = agg.projections[num_output]->Eval(ctx);
-      NLQ_RETURN_IF_ERROR(error);
-      if (keep.is_null() || keep.AsDouble() == 0.0) continue;
-    }
-    Row out(num_output);
-    for (size_t c = 0; c < num_output; ++c) {
-      out[c] = agg.projections[c]->Eval(ctx);
-    }
-    NLQ_RETURN_IF_ERROR(error);
-    rows.push_back(std::move(out));
+    NLQ_ASSIGN_OR_RETURN(Row aggs, FinalizeAggState(agg.specs, state));
+    NLQ_RETURN_IF_ERROR(
+        EmitGroup(agg, has_having, num_output, key, aggs, &rows));
   }
   return rows;
+}
+
+Status AccumulateSpanBatch(const std::vector<AggregateSpec>& specs,
+                           const std::vector<VectorAggSpec>& args,
+                           const std::vector<int>& slot_to_col,
+                           const ColumnSpanBatch& batch, AggState* state,
+                           SpanScratch* scratch) {
+  return AccumulateBatch(specs, args, slot_to_col, batch, /*global=*/true,
+                         [state](size_t) { return state; }, scratch);
+}
+
+Status AccumulateGroupedSpanBatch(const std::vector<AggregateSpec>& specs,
+                                  const std::vector<VectorAggSpec>& args,
+                                  const std::vector<int>& slot_to_col,
+                                  const ColumnSpanBatch& batch,
+                                  AggState* const* group_of,
+                                  SpanScratch* scratch) {
+  return AccumulateBatch(specs, args, slot_to_col, batch, /*global=*/false,
+                         [group_of](size_t r) { return group_of[r]; },
+                         scratch);
 }
 
 }  // namespace nlq::engine::exec

@@ -7,19 +7,25 @@
 
 #include "common/memory_tracker.h"
 #include "common/status.h"
+#include "engine/exec/bytecode.h"
+#include "engine/exec/column_stream.h"
 #include "engine/expr.h"
 #include "storage/value.h"
 #include "udf/heap_segment.h"
 
 namespace nlq::engine::exec {
 
-/// Per-group aggregation state shared by the row-at-a-time
-/// HashAggregateNode and the vectorized VectorHashAggregateNode. Both
-/// run the same INIT / ROW / MERGE / FINALIZE protocol over these
-/// structures, which is what keeps their results byte-identical: only
-/// the ROW-phase argument evaluation differs (interpreted Datums vs
-/// compiled bytecode registers).
+/// The INIT / ROW / MERGE / FINALIZE machinery of every aggregate: the
+/// interpreted HashAggregateNode, the columnar VectorHashAggregateNode
+/// and the maintained-view registry all keep, update, merge, clone and
+/// finalize aggregation state through this one module. One copy of
+/// each rule is the cheapest proof that their results stay
+/// byte-identical: only how the ROW phase obtains argument values
+/// differs (interpreted Datums, bytecode registers, or column spans
+/// read in place).
 
+/// State of one SQL builtin (sum/count/avg/min/max; COUNT(*) uses
+/// `count` only).
 struct BuiltinAggState {
   double sum = 0.0;
   int64_t count = 0;
@@ -28,12 +34,71 @@ struct BuiltinAggState {
   bool seen = false;
 };
 
-struct GroupState {
-  storage::Row keys;
-  std::vector<BuiltinAggState> builtin;  // parallel to specs
+/// ROW phase of one SQL builtin for one non-NULL argument value
+/// (SQL aggregates skip NULLs; callers do).
+inline void UpdateBuiltin(AggregateSpec::Kind kind, double x,
+                          BuiltinAggState* b) {
+  switch (kind) {
+    case AggregateSpec::Kind::kSum:
+    case AggregateSpec::Kind::kAvg:
+      b->sum += x;
+      ++b->count;
+      break;
+    case AggregateSpec::Kind::kCount:
+      ++b->count;
+      break;
+    case AggregateSpec::Kind::kMin:
+      if (!b->seen || x < b->min) b->min = x;
+      break;
+    case AggregateSpec::Kind::kMax:
+      if (!b->seen || x > b->max) b->max = x;
+      break;
+    default:
+      break;
+  }
+  b->seen = true;
+}
+
+/// Partial aggregation state of one group (a global aggregate has one
+/// group per morsel stream), parallel to the AggregateSpec list.
+/// Movable, not copyable: UDF states live in owned heap segments
+/// (deep copy via CloneAggState).
+struct AggState {
+  std::vector<BuiltinAggState> builtin;
   std::vector<std::unique_ptr<udf::HeapSegment>> heaps;
-  std::vector<void*> udf_states;  // parallel to specs, null for builtins
+  std::vector<void*> udf_states;  // null for builtins
 };
+
+/// INIT: sizes `state` for `specs`; every aggregate UDF allocates its
+/// state inside a fresh HeapSegment (the per-thread UDF heap) charged
+/// against `memory` (nullptr = untracked).
+Status InitAggState(const std::vector<AggregateSpec>& specs,
+                    MemoryTracker* memory, AggState* state);
+
+/// MERGE: folds `src` into `dst` (builtins added / min-maxed, UDFs via
+/// their Merge phase; hits the `udf_merge` failpoint per UDF spec).
+/// Callers fold in morsel-index order, which keeps results
+/// bit-identical across thread counts.
+Status MergeAggState(const std::vector<AggregateSpec>& specs,
+                     const AggState& src, AggState* dst);
+
+/// Deep copy: Init-s `dst` fresh and transplants `src` into it —
+/// builtins by assignment, UDF states by memcpy of their relocatable
+/// block. Internal error if a UDF state is not relocatable; callers
+/// gate on RelocatableSpecs first.
+Status CloneAggState(const std::vector<AggregateSpec>& specs,
+                     MemoryTracker* memory, const AggState& src,
+                     AggState* dst);
+
+/// True when every spec's state can be kept and cloned across
+/// statements: builtins always can, UDFs need a relocatable state
+/// block. Gate of maintained-view eligibility.
+bool RelocatableSpecs(const std::vector<AggregateSpec>& specs);
+
+/// FINALIZE: one Datum per spec (Int64 counts, NULL-on-empty sums,
+/// result-type-cast min/max, UDF Finalize).
+StatusOr<storage::Row> FinalizeAggState(const std::vector<AggregateSpec>& specs,
+                                        const AggState& state);
 
 struct RowKeyHash {
   size_t operator()(const storage::Row& row) const {
@@ -55,34 +120,88 @@ struct RowKeyEq {
   }
 };
 
+/// One stream's groups, keyed by their GROUP BY values.
 using GroupMap =
-    std::unordered_map<storage::Row, GroupState, RowKeyHash, RowKeyEq>;
+    std::unordered_map<storage::Row, AggState, RowKeyHash, RowKeyEq>;
 
-/// INIT: zeroed builtin state; aggregate UDFs allocate their state
-/// inside a fresh HeapSegment (the per-thread UDF heap). Charges the
-/// hash-table entry against `memory` when given.
-StatusOr<GroupState> InitGroupState(const std::vector<AggregateSpec>& specs,
-                                    storage::Row keys, MemoryTracker* memory);
+/// The state of group `keys`, INIT-ed on first sight with its
+/// hash-table entry charged against `memory` (nullptr = untracked).
+StatusOr<AggState*> FindOrInitGroup(const std::vector<AggregateSpec>& specs,
+                                    const storage::Row& keys,
+                                    MemoryTracker* memory, GroupMap* groups);
 
-/// MERGE: folds `src` into `dst` (builtin states added/min-maxed,
-/// aggregate UDFs via their Merge phase; hits the `udf_merge`
-/// failpoint per UDF spec).
-Status MergeGroup(const std::vector<AggregateSpec>& specs, GroupState* dst,
-                  GroupState* src);
+/// FINALIZE tail of one group: evaluates the SELECT projections over
+/// (keys, aggs) and appends the output row to `out`, unless HAVING
+/// (`projections[num_output]` when `has_having`) rejects the group.
+Status EmitGroup(const BoundAggregation& agg, bool has_having,
+                 size_t num_output, const storage::Row& keys,
+                 const storage::Row& aggs, std::vector<storage::Row>* out);
 
-/// FINALIZE one group: one Datum per aggregate spec.
-StatusOr<storage::Row> FinalizeGroup(const std::vector<AggregateSpec>& specs,
-                                     const GroupState& state);
-
-/// MERGE + FINALIZE tail shared by both hash-aggregate operators:
-/// folds partials[1..] into partials[0] in stream order, seeds the
-/// empty-input global group when there are no GROUP BY keys, then per
-/// group (in partials[0]'s map order) finalizes aggregates, applies
-/// HAVING (`projections[num_output]` when `has_having`) and evaluates
-/// the `num_output` SELECT projections over (keys, aggs).
+/// MERGE + FINALIZE shared by both hash-aggregate operators: folds
+/// partials[1..] into partials[0] in stream order, seeds the
+/// empty-input global group when there are no GROUP BY keys, then
+/// finalizes and emits every group in partials[0]'s map order.
 StatusOr<std::vector<storage::Row>> MergeAndFinalize(
     const BoundAggregation& agg, bool has_having, size_t num_output,
     std::vector<GroupMap>* partials, MemoryTracker* memory);
+
+// ---------------------------------------------------------------------------
+// Columnar ROW phase
+// ---------------------------------------------------------------------------
+
+/// Compiled arguments of one aggregate call, parallel to
+/// BoundAggregation::specs. Aggregate UDFs like nlq_list take leading
+/// literal configuration arguments (VARCHAR, which never compiles):
+/// those stay Datums. COUNT(*) has no arguments; SQL builtins have
+/// exactly one program.
+struct VectorAggSpec {
+  std::vector<storage::Datum> const_args;  // leading literal arguments
+  std::vector<CompiledExprPtr> progs;      // the remaining arguments
+};
+
+/// One argument's values over a span batch: exactly one of `d`/`i` is
+/// set (by type); `nulls` is the null bitmap, or nullptr.
+struct ArgLane {
+  const double* d = nullptr;
+  const int64_t* i = nullptr;
+  const uint64_t* nulls = nullptr;
+};
+
+/// Per-stream scratch of the columnar ROW phase, reused across batches.
+struct SpanScratch {
+  ExprVM vm;
+  std::vector<ExprVM::Reg> regs;          // per argument: program results
+  std::vector<ArgLane> lanes;             // per argument
+  std::vector<std::vector<double>> cols;  // widened / compacted spans
+  std::vector<const double*> spans;
+  std::vector<uint8_t> keep;
+  std::vector<storage::Datum> row_args;   // one row's boxed arguments
+};
+
+/// ROW phase of a global aggregate over one span batch, every spec
+/// into one state. Bare column arguments are read in place, any other
+/// argument through the VM. Aggregate UDFs that support spans get the
+/// whole batch through AccumulateSpans — bare DOUBLE columns
+/// zero-copy, NULL rows dropped by order-preserving compaction (the
+/// skip-row policy), called even when every row compacts away so the
+/// state fixes its shape exactly as Accumulate would; other UDFs get
+/// one Accumulate call per row.
+Status AccumulateSpanBatch(const std::vector<AggregateSpec>& specs,
+                           const std::vector<VectorAggSpec>& args,
+                           const std::vector<int>& slot_to_col,
+                           const ColumnSpanBatch& batch, AggState* state,
+                           SpanScratch* scratch);
+
+/// ROW phase of a grouped aggregate over one span batch: row r folds
+/// into `group_of[r]`, visiting each (group, aggregate) in row order —
+/// the loop nesting (per spec, then per row) differs from the row
+/// path's, which is unobservable because argument programs are pure.
+Status AccumulateGroupedSpanBatch(const std::vector<AggregateSpec>& specs,
+                                  const std::vector<VectorAggSpec>& args,
+                                  const std::vector<int>& slot_to_col,
+                                  const ColumnSpanBatch& batch,
+                                  AggState* const* group_of,
+                                  SpanScratch* scratch);
 
 }  // namespace nlq::engine::exec
 

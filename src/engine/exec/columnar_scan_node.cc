@@ -231,8 +231,9 @@ std::string ColumnarScanNode::annotation() const {
 
 StatusOr<ExecStreamPtr> ColumnarScanNode::OpenStreamImpl(size_t) const {
   return Status::Internal(
-      "ColumnarScan produces column spans; it must be driven by "
-      "ColumnarAggregate");
+      "ColumnarScan produces column spans; it must be driven by a "
+      "columnar consumer (VectorFilter, VectorProject or "
+      "VectorHashAggregate)");
 }
 
 StatusOr<ColumnStreamPtr> ColumnarScanNode::OpenColumnStreamImpl(

@@ -41,9 +41,9 @@ void ApplyColumnFilter(const ColumnFilter& f, const ColumnSpanBatch& in,
 /// Leaf of the columnar pipeline: scans a partitioned table's pages
 /// straight into typed column arrays (no Datum boxing) and applies
 /// pushed-down simple comparisons by span compaction. Driven through
-/// OpenColumnStream by the columnar consumers (ColumnarAggregate,
-/// VectorFilter, VectorProject, VectorHashAggregate); the row-oriented
-/// OpenStream is deliberately unimplemented.
+/// OpenColumnStream by the columnar consumers (VectorFilter,
+/// VectorProject, VectorHashAggregate); the row-oriented OpenStream is
+/// deliberately unimplemented.
 ///
 /// Streams are morsels from the same grid ParallelScanNode uses (same
 /// `morsel_rows`), so the row and columnar paths have identical stream

@@ -1,5 +1,6 @@
 #include "engine/exec/filter_node.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/metrics.h"
@@ -27,22 +28,30 @@ class FilterStream : public ExecStream {
       if (!more) return false;
       const size_t n = out->size();
       keep_.assign(n, 1);
-      if (compiled_ != nullptr) {
-        vm_.EvalRows(*compiled_, out->rows(), n);
-        vm_.AndResultIntoKeep(*compiled_, n, keep_.data());
-        if (ctx_ != nullptr && ctx_->stats() != nullptr) {
-          ctx_->stats()->rows_vectorized.fetch_add(n,
-                                                   std::memory_order_relaxed);
+      // Chunked evaluation, polling the context between chunks.
+      for (size_t begin = 0; begin < n; begin += kCancelPollRows) {
+        if (begin > 0 && ctx_ != nullptr) {
+          NLQ_RETURN_IF_ERROR(ctx_->CheckAlive());
         }
-      } else {
-        verdicts_.resize(n);
+        const size_t m = std::min(kCancelPollRows, n - begin);
+        const storage::Row* rows = out->rows() + begin;
+        uint8_t* keep = keep_.data() + begin;
+        if (compiled_ != nullptr) {
+          vm_.EvalRows(*compiled_, rows, m);
+          vm_.AndResultIntoKeep(*compiled_, m, keep);
+          continue;
+        }
+        verdicts_.resize(m);
         Status error;
-        predicate_->EvalBatch(out->rows(), n, &error, verdicts_.data());
+        predicate_->EvalBatch(rows, m, &error, verdicts_.data());
         NLQ_RETURN_IF_ERROR(error);
-        for (size_t i = 0; i < n; ++i) {
+        for (size_t i = 0; i < m; ++i) {
           const Datum& v = verdicts_[i];
-          if (v.is_null() || v.AsDouble() == 0.0) keep_[i] = 0;
+          if (v.is_null() || v.AsDouble() == 0.0) keep[i] = 0;
         }
+      }
+      if (compiled_ != nullptr && ctx_ != nullptr && ctx_->stats() != nullptr) {
+        ctx_->stats()->rows_vectorized.fetch_add(n, std::memory_order_relaxed);
       }
       size_t kept = 0;
       for (size_t i = 0; i < n; ++i) {

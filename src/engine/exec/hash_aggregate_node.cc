@@ -1,7 +1,7 @@
 #include "engine/exec/hash_aggregate_node.h"
 
+#include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -18,12 +18,14 @@ using storage::Datum;
 using storage::Row;
 
 /// ROW phase over one child stream: drains it batch-by-batch into
-/// `groups`. GROUP BY keys are evaluated column-at-a-time per batch;
-/// aggregate arguments stay row-at-a-time. Wide statistics queries
-/// carry hundreds of argument expressions over multi-KB rows, so a
-/// column-major pass per argument would re-walk the whole batch once
-/// per expression with a row-sized stride — evaluating every argument
-/// while its row is cache-hot is measurably faster.
+/// `groups`. GROUP BY keys are evaluated column-at-a-time per chunk of
+/// kCancelPollRows rows; aggregate arguments stay row-at-a-time. Wide
+/// statistics queries carry hundreds of argument expressions over
+/// multi-KB rows, so a column-major pass per argument would re-walk the
+/// whole batch once per expression with a row-sized stride —
+/// evaluating every argument while its row is cache-hot is measurably
+/// faster. The context is polled between chunks, so a batch of
+/// expensive rows (a slow scalar UDF) stays cancellable.
 Status AccumulateStream(const PlanNode& child, size_t stream,
                         const BoundAggregation& agg, size_t batch_capacity,
                         const QueryContext* query_ctx, GroupMap* groups) {
@@ -43,66 +45,49 @@ Status AccumulateStream(const PlanNode& child, size_t stream,
     NLQ_ASSIGN_OR_RETURN(const bool more, source->Next(&batch));
     if (!more) break;
     const size_t n = batch.size();
-    Status error;
-    for (size_t k = 0; k < num_keys; ++k) {
-      key_cols[k].resize(n);
-      agg.key_exprs[k]->EvalBatch(batch.rows(), n, &error,
-                                  key_cols[k].data());
-    }
-    NLQ_RETURN_IF_ERROR(error);
-
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t k = 0; k < num_keys; ++k) key[k] = key_cols[k][r];
-      auto it = groups->find(key);
-      if (it == groups->end()) {
-        NLQ_ASSIGN_OR_RETURN(GroupState fresh,
-                             InitGroupState(specs, key, memory));
-        it = groups->emplace(key, std::move(fresh)).first;
+    for (size_t begin = 0; begin < n; begin += kCancelPollRows) {
+      if (begin > 0 && query_ctx != nullptr) {
+        NLQ_RETURN_IF_ERROR(query_ctx->CheckAlive());
       }
-      GroupState& state = it->second;
-      EvalContext ctx;
-      ctx.input = &batch.row(r);
-      ctx.error = &error;
-      for (size_t i = 0; i < specs.size(); ++i) {
-        const AggregateSpec& spec = specs[i];
-        if (spec.kind == AggregateSpec::Kind::kCountStar) {
-          ++state.builtin[i].count;
-          continue;
+      const size_t end = std::min(n, begin + kCancelPollRows);
+      Status error;
+      for (size_t k = 0; k < num_keys; ++k) {
+        key_cols[k].resize(end - begin);
+        agg.key_exprs[k]->EvalBatch(batch.rows() + begin, end - begin, &error,
+                                    key_cols[k].data());
+      }
+      NLQ_RETURN_IF_ERROR(error);
+
+      for (size_t r = begin; r < end; ++r) {
+        for (size_t k = 0; k < num_keys; ++k) key[k] = key_cols[k][r - begin];
+        NLQ_ASSIGN_OR_RETURN(AggState * state,
+                             FindOrInitGroup(specs, key, memory, groups));
+        EvalContext ctx;
+        ctx.input = &batch.row(r);
+        ctx.error = &error;
+        for (size_t i = 0; i < specs.size(); ++i) {
+          const AggregateSpec& spec = specs[i];
+          if (spec.kind == AggregateSpec::Kind::kCountStar) {
+            ++state->builtin[i].count;
+            continue;
+          }
+          scratch.resize(spec.args.size());
+          for (size_t a = 0; a < spec.args.size(); ++a) {
+            scratch[a] = spec.args[a]->Eval(ctx);
+          }
+          NLQ_RETURN_IF_ERROR(error);
+          if (spec.kind == AggregateSpec::Kind::kUdf) {
+            NLQ_FAILPOINT("udf_accumulate");
+            NLQ_RETURN_IF_ERROR(
+                spec.udaf->Accumulate(state->udf_states[i], scratch));
+            continue;
+          }
+          // SQL aggregates skip NULLs.
+          if (!scratch[0].is_null()) {
+            UpdateBuiltin(spec.kind, scratch[0].AsDouble(),
+                          &state->builtin[i]);
+          }
         }
-        scratch.resize(spec.args.size());
-        for (size_t a = 0; a < spec.args.size(); ++a) {
-          scratch[a] = spec.args[a]->Eval(ctx);
-        }
-        NLQ_RETURN_IF_ERROR(error);
-        if (spec.kind == AggregateSpec::Kind::kUdf) {
-          NLQ_FAILPOINT("udf_accumulate");
-          NLQ_RETURN_IF_ERROR(
-              spec.udaf->Accumulate(state.udf_states[i], scratch));
-          continue;
-        }
-        const Datum& v = scratch[0];
-        if (v.is_null()) continue;  // SQL aggregates skip NULLs
-        BuiltinAggState& b = state.builtin[i];
-        const double x = v.AsDouble();
-        switch (spec.kind) {
-          case AggregateSpec::Kind::kSum:
-          case AggregateSpec::Kind::kAvg:
-            b.sum += x;
-            ++b.count;
-            break;
-          case AggregateSpec::Kind::kCount:
-            ++b.count;
-            break;
-          case AggregateSpec::Kind::kMin:
-            if (!b.seen || x < b.min) b.min = x;
-            break;
-          case AggregateSpec::Kind::kMax:
-            if (!b.seen || x > b.max) b.max = x;
-            break;
-          default:
-            break;
-        }
-        b.seen = true;
       }
     }
   }

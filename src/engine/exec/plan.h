@@ -14,6 +14,11 @@ namespace nlq::engine::exec {
 
 using storage::RowBatch;
 
+/// Rows a row-path operator (Filter, Project, HashAggregate) evaluates
+/// between two QueryContext polls, so a batch of expensive rows — a
+/// slow scalar UDF — stays cancellable mid-batch.
+inline constexpr size_t kCancelPollRows = 256;
+
 /// A pull cursor over one parallel stream of a plan node. Streams of
 /// the same node are independent (one per driver partition below the
 /// pipeline breaker) and may be driven from different worker threads.

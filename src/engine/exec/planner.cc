@@ -5,22 +5,20 @@
 #include <utility>
 #include <vector>
 
-#include "common/strings.h"
 #include "engine/exec/bytecode.h"
-#include "engine/exec/columnar_aggregate_node.h"
 #include "engine/exec/columnar_scan_node.h"
 #include "engine/exec/cross_join_node.h"
 #include "engine/exec/filter_node.h"
 #include "engine/exec/gather_node.h"
 #include "engine/exec/hash_aggregate_node.h"
 #include "engine/exec/limit_node.h"
-#include "engine/exec/maintained_view_node.h"
 #include "engine/exec/project_node.h"
 #include "engine/exec/scan_node.h"
 #include "engine/exec/sort_node.h"
 #include "engine/exec/vector_filter_node.h"
 #include "engine/exec/vector_hash_aggregate_node.h"
 #include "engine/exec/vector_project_node.h"
+#include "engine/exec/view_registry.h"
 #include "engine/expr.h"
 #include "storage/partitioned_table.h"
 
@@ -160,16 +158,8 @@ bool IsAggregateSelect(const SelectStatement& select,
 }
 
 // ---------------------------------------------------------------------------
-// Columnar fast path eligibility
+// Columnar pipeline (compiled bytecode over span batches)
 // ---------------------------------------------------------------------------
-
-/// Columnar fast-path plan fragment assembled by TryColumnarFastPath.
-struct ColumnarCandidate {
-  bool eligible = false;
-  std::vector<size_t> slots;           // driver schema slots to decode
-  std::vector<ColumnFilter> filters;   // cols are indices into `slots`
-  std::vector<ColumnarAggSpec> specs;  // parallel to the bound specs
-};
 
 /// Projection index of `slot`, appending it on first use.
 size_t ProjectSlot(std::vector<size_t>* slots, size_t slot) {
@@ -244,80 +234,6 @@ bool TrySimpleSpanFilter(const Expr& conj, const BindingScope& scope,
   return true;
 }
 
-/// Decides whether a bound global aggregate can run on the columnar
-/// fast path, and if so reduces it to scan slots, pushed-down span
-/// filters and ColumnarAggSpecs. Eligible queries aggregate a single
-/// base table without GROUP BY / HAVING, every aggregate argument is a
-/// bare numeric column reference (after an aggregate UDF's leading
-/// literal arguments), and the WHERE clause — if any — is a
-/// conjunction of `column <op> numeric-literal` comparisons. Anything
-/// else stays on the row path.
-ColumnarCandidate TryColumnarFastPath(const SelectStatement& select,
-                                      const FromInputs& inputs,
-                                      const BoundAggregation& agg,
-                                      bool has_having) {
-  ColumnarCandidate cand;
-  if (inputs.driver == nullptr || !inputs.small_tables.empty()) return cand;
-  if (!agg.key_exprs.empty() || has_having) return cand;
-
-  if (select.where != nullptr) {
-    std::vector<const Expr*> conjuncts;
-    SplitConjuncts(select.where.get(), &conjuncts);
-    for (const Expr* conj : conjuncts) {
-      ColumnFilter f;
-      if (!TrySimpleSpanFilter(*conj, inputs.scope, &cand.slots, &f)) {
-        return cand;
-      }
-      cand.filters.push_back(std::move(f));
-    }
-  }
-
-  for (const AggregateSpec& spec : agg.specs) {
-    ColumnarAggSpec cs;
-    cs.kind = spec.kind;
-    cs.udaf = spec.udaf;
-    cs.result_type = spec.result_type;
-    if (spec.kind == AggregateSpec::Kind::kUdf) {
-      if (spec.udaf == nullptr || !spec.udaf->SupportsColumnarSpans()) {
-        return cand;
-      }
-      size_t a = 0;
-      storage::Datum lit;
-      while (a < spec.args.size() && spec.args[a]->AsLiteralValue(&lit)) {
-        cs.const_args.push_back(std::move(lit));
-        ++a;
-      }
-      if (a == spec.args.size()) return cand;  // no column spans at all
-      for (; a < spec.args.size(); ++a) {
-        size_t slot = 0;
-        if (!spec.args[a]->AsInputRef(&slot) ||
-            spec.args[a]->result_type() == DataType::kVarchar) {
-          return cand;
-        }
-        cs.arg_cols.push_back(ProjectSlot(&cand.slots, slot));
-      }
-    } else if (spec.kind != AggregateSpec::Kind::kCountStar) {
-      size_t slot = 0;
-      if (spec.args.size() != 1 || !spec.args[0]->AsInputRef(&slot) ||
-          spec.args[0]->result_type() == DataType::kVarchar) {
-        return cand;
-      }
-      cs.arg_cols.push_back(ProjectSlot(&cand.slots, slot));
-    }
-    cand.specs.push_back(std::move(cs));
-  }
-
-  // A pure COUNT(*) query decodes no columns; the row path is already
-  // optimal there.
-  if (cand.slots.empty()) return cand;
-  cand.eligible = true;
-  return cand;
-}
-
-// ---------------------------------------------------------------------------
-// General columnar pipeline (compiled bytecode over span batches)
-// ---------------------------------------------------------------------------
-
 /// Plan fragment for the general columnar pipeline, assembled by
 /// TryVectorAggregate / TryVectorProjection. `slots` lists the driver
 /// schema slots the scan decodes; `slot_to_col` is its inverse
@@ -386,7 +302,7 @@ bool FinishPipeline(const FromInputs& inputs, VectorPipeline* p) {
   collect(p->where_prog);
   for (const auto& prog : p->key_progs) collect(prog);
   for (const auto& spec : p->spec_args) {
-    for (const auto& arg : spec.args) collect(arg.prog);
+    for (const auto& prog : spec.progs) collect(prog);
   }
   for (const auto& prog : p->proj_progs) collect(prog);
   if (p->slots.empty()) return false;
@@ -398,11 +314,11 @@ bool FinishPipeline(const FromInputs& inputs, VectorPipeline* p) {
   return true;
 }
 
-/// Second-chance plan for aggregates the fused fast path rejected:
-/// GROUP BY keys and aggregate arguments compile to bytecode and run
-/// over span batches (aggregate UDFs keep leading literal arguments as
-/// constants, like the fast path). HAVING and the SELECT projections
-/// operate per group on (keys, aggs) rows and stay interpreted.
+/// Columnar plan for aggregates: GROUP BY keys and aggregate arguments
+/// compile to bytecode and run over span batches (aggregate UDFs keep
+/// leading literal arguments as constants). HAVING and the SELECT
+/// projections operate per group on (keys, aggs) rows and stay
+/// interpreted.
 VectorPipeline TryVectorAggregate(const SelectStatement& select,
                                   const FromInputs& inputs,
                                   const BoundAggregation& agg,
@@ -420,32 +336,50 @@ VectorPipeline TryVectorAggregate(const SelectStatement& select,
   }
   for (const AggregateSpec& spec : agg.specs) {
     VectorAggSpec vs;
+    size_t a = 0;
     if (spec.kind == AggregateSpec::Kind::kUdf) {
-      size_t a = 0;
       storage::Datum lit;
       while (a < spec.args.size() && spec.args[a]->AsLiteralValue(&lit)) {
-        VectorAggArg arg;
-        arg.constant = std::move(lit);
-        vs.args.push_back(std::move(arg));
+        vs.const_args.push_back(std::move(lit));
         ++a;
       }
-      for (; a < spec.args.size(); ++a) {
-        VectorAggArg arg;
-        arg.prog = CompileExpr(*spec.args[a], cache);
-        if (arg.prog == nullptr) return VectorPipeline{};
-        vs.args.push_back(std::move(arg));
-      }
-    } else if (spec.kind != AggregateSpec::Kind::kCountStar) {
-      VectorAggArg arg;
-      arg.prog = spec.args.size() == 1 ? CompileExpr(*spec.args[0], cache)
-                                       : nullptr;
-      if (arg.prog == nullptr) return VectorPipeline{};
-      vs.args.push_back(std::move(arg));
+    } else if (spec.kind != AggregateSpec::Kind::kCountStar &&
+               spec.args.size() != 1) {
+      return VectorPipeline{};
+    }
+    for (; a < spec.args.size(); ++a) {
+      CompiledExprPtr prog = CompileExpr(*spec.args[a], cache);
+      if (prog == nullptr) return VectorPipeline{};
+      vs.progs.push_back(std::move(prog));
     }
     p.spec_args.push_back(std::move(vs));
   }
   if (!FinishPipeline(inputs, &p)) return VectorPipeline{};
   return p;
+}
+
+/// True for the global n,L,Q shape a maintained view serves: no GROUP
+/// BY, HAVING or residual WHERE program (every conjunct was pushed into
+/// the scan), and every aggregate argument a bare column after an
+/// aggregate UDF's literal prefix, with UDFs that take spans.
+bool ViewShaped(const BoundAggregation& agg, bool has_having,
+                const VectorPipeline& p) {
+  if (!agg.key_exprs.empty() || has_having || p.where_prog != nullptr) {
+    return false;
+  }
+  for (size_t i = 0; i < agg.specs.size(); ++i) {
+    const AggregateSpec& spec = agg.specs[i];
+    const VectorAggSpec& args = p.spec_args[i];
+    if (spec.kind == AggregateSpec::Kind::kUdf &&
+        (!spec.udaf->SupportsColumnarSpans() || args.progs.empty())) {
+      return false;
+    }
+    for (size_t a = args.const_args.size(); a < spec.args.size(); ++a) {
+      size_t slot = 0;
+      if (!spec.args[a]->AsInputRef(&slot)) return false;
+    }
+  }
+  return true;
 }
 
 /// Pipeline form for plain projections: every SELECT item's bound
@@ -552,78 +486,44 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
       out_cols.push_back({ResultColumnName(select.items[i], i),
                           agg.projections[i]->result_type()});
     }
-    ColumnarCandidate cand =
-        vectorize ? TryColumnarFastPath(select, inputs, agg, has_having)
-                  : ColumnarCandidate();
     VectorPipeline vp;
-    if (!cand.eligible && vectorize) {
+    if (vectorize) {
       vp = TryVectorAggregate(select, inputs, agg, registry_,
                               bytecode_cache_);
     }
-    if (cand.eligible) {
-      // Maintained-view decision: a global aggregate on the fused fast
-      // path whose states are relocatable can be served from (and
-      // incrementally maintain) registered per-morsel partials. A
-      // spilled or unmaintainable statement, and the one statement that
-      // observes a just-invalidated entry, runs the normal columnar
-      // pipeline with an explanatory EXPLAIN note instead.
+    if (vp.eligible) {
+      // Columnar aggregate: GROUP BY keys and aggregate arguments run
+      // compiled over span batches; simple comparisons filter inside
+      // the scan, the remaining WHERE conjuncts run as one compiled
+      // VectorFilter program.
+      //
+      // Maintained-view decision (DESIGN.md §13): a global n,L,Q
+      // aggregate over a resident table with relocatable states is
+      // served from registered per-morsel partials. Grouped n,L,Q
+      // aggregates stay unmaintained: hash-table output ordering is not
+      // replayable bit-identically.
       std::string view_note;
-      bool planned_view = false;
-      if (views_ != nullptr) {
+      ViewDescriptor view;
+      if (views_ != nullptr && ViewShaped(agg, has_having, vp)) {
         if (inputs.driver->is_spilled()) {
           view_note = "view=ineligible (spilled)";
-        } else if (!MaintainableSpecs(cand.specs)) {
+        } else if (!RelocatableSpecs(agg.specs)) {
           view_note = "view=ineligible (non-relocatable aggregate state)";
         } else {
-          ViewDescriptor d;
-          d.table = inputs.driver;
-          d.table_name = select.from[0].table_name;
-          d.slots = cand.slots;
-          d.filters = cand.filters;
-          d.specs = &cand.specs;
-          d.morsel_rows = morsel_rows_;
-          d.batch_capacity = batch_capacity_;
-          const ViewProbe probe = views_->Probe(d);
-          if (probe.invalidated) {
-            // The entry was dropped; this statement rescans normally
-            // and the next eligible one reseeds the view.
-            view_note = "view=stale";
-          } else {
-            std::string state =
-                probe.registered
-                    ? StringPrintf(
-                          "view=fresh delta=%llu of %llu row(s)",
-                          static_cast<unsigned long long>(probe.delta_rows),
-                          static_cast<unsigned long long>(probe.total_rows))
-                    : StringPrintf(
-                          "view=stale (seeding %llu row(s))",
-                          static_cast<unsigned long long>(probe.total_rows));
-            node = std::make_unique<MaintainedViewNode>(
-                views_, std::move(d), std::move(cand.specs),
-                std::move(agg.projections), select.items.size(),
-                std::move(state), pool_, ctx_);
-            planned_view = true;
+          view.table = inputs.driver;
+          view.table_name = select.from[0].table_name;
+          view.slots = vp.slots;
+          view.filters = vp.scan_filters;
+          view.morsel_rows = morsel_rows_;
+          view.batch_capacity = batch_capacity_;
+        }
+      } else if (views_ != nullptr && !agg.key_exprs.empty()) {
+        for (const AggregateSpec& spec : agg.specs) {
+          if (spec.kind == AggregateSpec::Kind::kUdf) {
+            view_note = "view=ineligible (group-by)";
           }
         }
       }
-      if (!planned_view) {
-        // Replace the row-oriented scan/filter chain with the columnar
-        // one; the pushed-down comparisons run on column spans inside
-        // the scan.
-        auto scan = std::make_unique<ColumnarScanNode>(
-            inputs.driver, select.from[0].table_name, std::move(cand.slots),
-            std::move(cand.filters), enable_column_cache_, batch_capacity_,
-            morsel_rows_, ctx_);
-        auto cagg = std::make_unique<ColumnarAggregateNode>(
-            std::move(scan), std::move(cand.specs), std::move(agg.projections),
-            select.items.size(), pool_, ctx_);
-        if (!view_note.empty()) cagg->set_view_note(std::move(view_note));
-        node = std::move(cagg);
-      }
-    } else if (vp.eligible) {
-      // General columnar pipeline: GROUP BY keys and aggregate
-      // arguments run compiled over span batches; non-pushable WHERE
-      // conjuncts run as one compiled VectorFilter program.
       auto scan = std::make_unique<ColumnarScanNode>(
           inputs.driver, select.from[0].table_name, std::move(vp.slots),
           std::move(vp.scan_filters), enable_column_cache_, batch_capacity_,
@@ -635,21 +535,14 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
             std::move(chain), std::move(vp.where_prog), vp.slot_to_col,
             std::move(vp.where_texts), ctx_);
       }
-      bool grouped_udf = false;
-      if (views_ != nullptr && !agg.key_exprs.empty()) {
-        for (const AggregateSpec& spec : agg.specs) {
-          if (spec.kind == AggregateSpec::Kind::kUdf) grouped_udf = true;
-        }
-      }
       auto vagg = std::make_unique<VectorHashAggregateNode>(
           std::move(chain), scan_ptr, std::move(agg),
           std::move(vp.key_progs), std::move(vp.spec_args),
           std::move(vp.slot_to_col), has_having,
           has_having ? select.having->ToString() : std::string(),
           select.items.size(), pool_, ctx_);
-      // Grouped n,L,Q aggregates stay unmaintained: hash-table output
-      // ordering is not replayable bit-identically (DESIGN.md §13).
-      if (grouped_udf) vagg->set_view_note("view=ineligible (group-by)");
+      vagg->set_view_note(std::move(view_note));
+      if (view.table != nullptr) vagg->UseView(views_, std::move(view));
       node = std::move(vagg);
     } else {
       node = std::make_unique<HashAggregateNode>(

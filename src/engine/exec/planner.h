@@ -37,33 +37,25 @@ struct PhysicalPlan {
 /// the driver table; only the small cross-join sides are
 /// materialized, exactly as the previous monolithic executor did.
 ///
-/// Global aggregates over a single base table whose aggregate
-/// arguments are bare column references — the paper's N,L,Q summary
-/// queries — are planned as the columnar fast path instead:
+/// Single-table SELECTs whose expressions all compile to bytecode run
+/// on the columnar pipeline instead:
 ///
-///   [Limit] <- [Sort] <- ColumnarAggregate <- ColumnarScan
+///   [Limit] <- [Sort] <- VectorHashAggregate <- [VectorFilter]
+///       <- ColumnarScan                                          or
+///   [Limit] <- [Sort] <- Gather <- VectorProject <- [VectorFilter]
+///       <- ColumnarScan
 ///
-/// The WHERE clause (if any) must consist of simple
-/// `column <op> literal` comparisons, which are pushed into the scan
-/// and evaluated on column spans; anything else falls back to the row
-/// path, which remains the correctness oracle for the columnar one.
-///
-/// Queries the fused fast path rejects get a second chance on the
-/// general columnar pipeline (when expression compilation is enabled):
-/// single-table SELECTs — grouped aggregates included — whose
-/// expressions all compile to bytecode run as
-///
-///   VectorHashAggregate <- [VectorFilter] <- ColumnarScan      or
-///   [Limit] <- [Sort] <- Gather <- VectorProject
-///       <- [VectorFilter] <- ColumnarScan
-///
-/// with simple comparisons still pushed into the scan and the
-/// remaining WHERE conjuncts ANDed into one compiled VectorFilter
-/// program. Queries that stay on the row path (joins, ORDER-BY-only
-/// shapes, scalar UDFs next to arithmetic) still get per-expression
-/// compiled programs inside Filter/Project wherever their
-/// subexpressions compile; only genuinely uncompilable constructs run
-/// interpreted.
+/// Simple `column <op> literal` WHERE conjuncts are pushed into the
+/// scan and evaluated on column spans; the remaining conjuncts are
+/// ANDed into one compiled VectorFilter program. VectorHashAggregate
+/// is the one columnar aggregate operator: grouped or global (the
+/// paper's n,L,Q summary queries, whose span-capable UDFs take whole
+/// batches), and — with view maintenance on — serving eligible global
+/// aggregates from the maintained-view registry. Queries that stay on
+/// the row path (joins, ORDER-BY-only shapes, scalar UDFs next to
+/// arithmetic) still get per-expression compiled programs inside
+/// Filter/Project wherever their subexpressions compile; the pure
+/// interpreted row path is the correctness oracle for all of it.
 class Planner {
  public:
   /// `morsel_rows` is the scan-morsel size handed to the leaf nodes
@@ -72,15 +64,15 @@ class Planner {
   /// planned node that loops over batches or claims morsels polls it,
   /// and memory-hungry operators charge its MemoryTracker. The context
   /// must outlive the plan's execution.
-  /// `enable_expr_compile` gates every vectorized choice (the fused
-  /// fast path, the general pipeline, per-node programs): off plans
-  /// the pure interpreted row path, the differential oracle.
+  /// `enable_expr_compile` gates every vectorized choice (the columnar
+  /// pipeline, per-node programs): off plans the pure interpreted row
+  /// path, the differential oracle.
   /// `bytecode_cache` — optional — deduplicates compiled programs
   /// across statements; it must outlive the plan.
   /// `views` — optional — is the maintained-view registry: when set,
-  /// eligible global n,L,Q aggregates plan a MaintainedViewScan that
-  /// serves (and incrementally refreshes) materialized per-morsel
-  /// partials instead of rescanning; it must outlive the plan.
+  /// eligible global n,L,Q aggregates are served from (and
+  /// incrementally refresh) materialized per-morsel partials instead
+  /// of rescanning; it must outlive the plan.
   Planner(storage::Catalog* catalog, const udf::UdfRegistry* registry,
           ThreadPool* pool,
           size_t batch_capacity = RowBatch::kDefaultCapacity,

@@ -1,5 +1,6 @@
 #include "engine/exec/project_node.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/metrics.h"
@@ -31,25 +32,32 @@ class ProjectStream : public ExecStream {
     const size_t n = in_batch_.size();
     const size_t width = projections_->size();
     for (size_t i = 0; i < n; ++i) out->AppendRow().resize(width);
-    Status error;
-    column_.resize(n);
     bool any_compiled = false;
-    for (size_t c = 0; c < width; ++c) {
-      const CompiledExpr* prog =
-          c < compiled_->size() ? (*compiled_)[c].get() : nullptr;
-      if (prog != nullptr) {
-        vm_.EvalRows(*prog, in_batch_.rows(), n);
-        vm_.BoxResult(*prog, n, column_.data());
-        any_compiled = true;
-      } else {
-        (*projections_)[c]->EvalBatch(in_batch_.rows(), n, &error,
-                                      column_.data());
+    // Column-at-a-time per chunk, polling the context between chunks.
+    for (size_t begin = 0; begin < n; begin += kCancelPollRows) {
+      if (begin > 0 && ctx_ != nullptr) {
+        NLQ_RETURN_IF_ERROR(ctx_->CheckAlive());
       }
-      for (size_t i = 0; i < n; ++i) {
-        out->row(i)[c] = std::move(column_[i]);
+      const size_t m = std::min(kCancelPollRows, n - begin);
+      const storage::Row* rows = in_batch_.rows() + begin;
+      Status error;
+      column_.resize(m);
+      for (size_t c = 0; c < width; ++c) {
+        const CompiledExpr* prog =
+            c < compiled_->size() ? (*compiled_)[c].get() : nullptr;
+        if (prog != nullptr) {
+          vm_.EvalRows(*prog, rows, m);
+          vm_.BoxResult(*prog, m, column_.data());
+          any_compiled = true;
+        } else {
+          (*projections_)[c]->EvalBatch(rows, m, &error, column_.data());
+        }
+        for (size_t i = 0; i < m; ++i) {
+          out->row(begin + i)[c] = std::move(column_[i]);
+        }
       }
+      NLQ_RETURN_IF_ERROR(error);
     }
-    NLQ_RETURN_IF_ERROR(error);
     if (any_compiled && ctx_ != nullptr && ctx_->stats() != nullptr) {
       ctx_->stats()->rows_vectorized.fetch_add(n, std::memory_order_relaxed);
     }

@@ -3,19 +3,14 @@
 #include <memory>
 #include <utility>
 
-#include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/strings.h"
-#include "engine/exec/aggregate_state.h"
 #include "engine/exec/gather_node.h"
-#include "storage/column_batch.h"
 
 namespace nlq::engine::exec {
 namespace {
 
-using storage::DataType;
 using storage::Datum;
-using storage::NullBitGet;
 using storage::Row;
 
 class VectorAggregateStream : public ExecStream {
@@ -38,9 +33,10 @@ class VectorAggregateStream : public ExecStream {
   std::unique_ptr<VectorStream> replay_;
 };
 
-/// ROW phase over one columnar stream: keys and aggregate arguments
-/// run through the VM per batch, groups resolve per row in batch
-/// order, accumulation runs per (spec, row) off the result registers.
+/// ROW phase over one columnar stream. Grouped: keys run through the
+/// VM per batch and groups resolve per row in batch order. Global:
+/// the stream's one state is created on its first batch (like the row
+/// path's group) and takes every batch whole.
 Status AccumulateColumnStream(const PlanNode& child, size_t stream,
                               const BoundAggregation& agg,
                               const std::vector<CompiledExprPtr>& key_progs,
@@ -55,12 +51,10 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
       query_ctx != nullptr ? query_ctx->memory() : nullptr;
 
   ColumnSpanBatch batch;
-  ExprVM vm;
+  SpanScratch scratch;
   std::vector<std::vector<Datum>> key_cols(num_keys);
   Row key(num_keys);
-  std::vector<GroupState*> group_of;
-  std::vector<ExprVM::Reg> arg_regs;
-  std::vector<Datum> scratch;
+  std::vector<AggState*> group_of;
 
   for (;;) {
     if (query_ctx != nullptr) NLQ_RETURN_IF_ERROR(query_ctx->CheckAlive());
@@ -68,88 +62,28 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
     if (!more) break;
     const size_t n = batch.rows;
 
-    for (size_t k = 0; k < num_keys; ++k) {
-      vm.EvalSpans(*key_progs[k], batch, slot_to_col, n);
-      key_cols[k].resize(n);
-      vm.BoxResult(*key_progs[k], n, key_cols[k].data());
-    }
-
-    // Resolve groups per row, in batch order — the insertion sequence
-    // (and therefore the hash table's iteration order at FINALIZE)
-    // matches the row path's exactly.
-    group_of.resize(n);
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t k = 0; k < num_keys; ++k) key[k] = key_cols[k][r];
-      auto it = groups->find(key);
-      if (it == groups->end()) {
-        NLQ_ASSIGN_OR_RETURN(GroupState fresh,
-                             InitGroupState(specs, key, memory));
-        it = groups->emplace(key, std::move(fresh)).first;
+    if (num_keys == 0) {
+      NLQ_ASSIGN_OR_RETURN(AggState * state,
+                           FindOrInitGroup(specs, key, memory, groups));
+      NLQ_RETURN_IF_ERROR(AccumulateSpanBatch(specs, spec_args, slot_to_col,
+                                              batch, state, &scratch));
+    } else {
+      for (size_t k = 0; k < num_keys; ++k) {
+        scratch.vm.EvalSpans(*key_progs[k], batch, slot_to_col, n);
+        key_cols[k].resize(n);
+        scratch.vm.BoxResult(*key_progs[k], n, key_cols[k].data());
       }
-      group_of[r] = &it->second;
-    }
-
-    for (size_t i = 0; i < specs.size(); ++i) {
-      const AggregateSpec& spec = specs[i];
-      if (spec.kind == AggregateSpec::Kind::kCountStar) {
-        for (size_t r = 0; r < n; ++r) ++group_of[r]->builtin[i].count;
-        continue;
-      }
-      if (spec.kind == AggregateSpec::Kind::kUdf) {
-        const std::vector<VectorAggArg>& args = spec_args[i].args;
-        // Copy every non-constant argument's result out of the VM so
-        // all argument lanes coexist for the per-row assembly.
-        arg_regs.resize(args.size());
-        for (size_t a = 0; a < args.size(); ++a) {
-          if (args[a].prog == nullptr) continue;
-          vm.EvalSpans(*args[a].prog, batch, slot_to_col, n);
-          vm.CopyResult(*args[a].prog, n, &arg_regs[a]);
-        }
-        scratch.resize(args.size());
-        for (size_t r = 0; r < n; ++r) {
-          for (size_t a = 0; a < args.size(); ++a) {
-            scratch[a] = args[a].prog == nullptr
-                             ? args[a].constant
-                             : BoxRegValue(arg_regs[a],
-                                           args[a].prog->result_type(), r);
-          }
-          NLQ_FAILPOINT("udf_accumulate");
-          NLQ_RETURN_IF_ERROR(
-              spec.udaf->Accumulate(group_of[r]->udf_states[i], scratch));
-        }
-        continue;
-      }
-      // SQL builtin: one argument program; accumulate straight off the
-      // result register, skipping NULL lanes like the interpreter.
-      const CompiledExpr& prog = *spec_args[i].args[0].prog;
-      vm.EvalSpans(prog, batch, slot_to_col, n);
-      const ExprVM::Reg& res = vm.result(prog);
-      const bool is_double = prog.result_type() == DataType::kDouble;
+      // Resolve groups per row, in batch order — the insertion
+      // sequence (and therefore the hash table's iteration order at
+      // FINALIZE) matches the row path's exactly.
+      group_of.resize(n);
       for (size_t r = 0; r < n; ++r) {
-        if (res.has_nulls && NullBitGet(res.nulls.data(), r)) continue;
-        const double x =
-            is_double ? res.d[r] : static_cast<double>(res.i[r]);
-        BuiltinAggState& b = group_of[r]->builtin[i];
-        switch (spec.kind) {
-          case AggregateSpec::Kind::kSum:
-          case AggregateSpec::Kind::kAvg:
-            b.sum += x;
-            ++b.count;
-            break;
-          case AggregateSpec::Kind::kCount:
-            ++b.count;
-            break;
-          case AggregateSpec::Kind::kMin:
-            if (!b.seen || x < b.min) b.min = x;
-            break;
-          case AggregateSpec::Kind::kMax:
-            if (!b.seen || x > b.max) b.max = x;
-            break;
-          default:
-            break;
-        }
-        b.seen = true;
+        for (size_t k = 0; k < num_keys; ++k) key[k] = key_cols[k][r];
+        NLQ_ASSIGN_OR_RETURN(group_of[r],
+                             FindOrInitGroup(specs, key, memory, groups));
       }
+      NLQ_RETURN_IF_ERROR(AccumulateGroupedSpanBatch(
+          specs, spec_args, slot_to_col, batch, group_of.data(), &scratch));
     }
 
     if (query_ctx != nullptr && query_ctx->stats() != nullptr) {
@@ -198,8 +132,8 @@ std::string VectorHashAggregateNode::annotation() const {
     ops += prog->num_instructions();
   }
   for (const VectorAggSpec& spec : spec_args_) {
-    for (const VectorAggArg& arg : spec.args) {
-      if (arg.prog != nullptr) ops += arg.prog->num_instructions();
+    for (const CompiledExprPtr& prog : spec.progs) {
+      ops += prog->num_instructions();
     }
   }
   out += StringPrintf("; compiled, %zu op(s)", ops);
@@ -211,7 +145,50 @@ StatusOr<ExecStreamPtr> VectorHashAggregateNode::OpenStreamImpl(size_t) const {
   return ExecStreamPtr(new VectorAggregateStream(this));
 }
 
+void VectorHashAggregateNode::UseView(ViewRegistry* views, ViewDescriptor d) {
+  d.specs = &agg_.specs;
+  d.args = &spec_args_;
+  d.slot_to_col = &slot_to_col_;
+  const ViewProbe probe = views->Probe(d);
+  if (probe.invalidated) {
+    view_note_ = "view=stale";
+    return;
+  }
+  view_note_ =
+      probe.registered
+          ? StringPrintf("view=fresh delta=%llu of %llu row(s)",
+                         static_cast<unsigned long long>(probe.delta_rows),
+                         static_cast<unsigned long long>(probe.total_rows))
+          : StringPrintf("view=stale (seeding %llu row(s))",
+                         static_cast<unsigned long long>(probe.total_rows));
+  views_ = views;
+  view_ = std::move(d);
+}
+
 StatusOr<std::vector<Row>> VectorHashAggregateNode::Compute() const {
+  if (views_ == nullptr) return Scan();
+  StatusOr<Row> aggs = views_->Serve(view_, pool_, ctx_);
+  if (aggs.ok()) {
+    std::vector<Row> rows;
+    NLQ_RETURN_IF_ERROR(
+        EmitGroup(agg_, has_having_, num_output_, Row{}, *aggs, &rows));
+    return rows;
+  }
+  const StatusCode code = aggs.status().code();
+  if (code == StatusCode::kCancelled || code == StatusCode::kDeadlineExceeded) {
+    return aggs.status();
+  }
+  // Degrade, never lie: the registry dropped the entry; this statement
+  // runs the node's own scan (counted as a rebuild) and the next one
+  // reseeds.
+  if (ctx_ != nullptr && ctx_->stats() != nullptr) {
+    ctx_->stats()->view_misses.fetch_add(1, std::memory_order_relaxed);
+    ctx_->stats()->view_rebuilds.fetch_add(1, std::memory_order_relaxed);
+  }
+  return Scan();
+}
+
+StatusOr<std::vector<Row>> VectorHashAggregateNode::Scan() const {
   // Fill the decoded-column cache one partition per task BEFORE the
   // morsel drain (Table::EnsureDecodedColumns is not safe against
   // concurrent fills of the same partition).
@@ -232,6 +209,10 @@ StatusOr<std::vector<Row>> VectorHashAggregateNode::Compute() const {
     NLQ_RETURN_IF_ERROR(pool_->ParallelFor(streams, drain_one, ctx_));
   }
 
+  // MERGE + FINALIZE: stream partials fold in morsel-index order — the
+  // grid depends only on the partition layout, so results are
+  // bit-identical across thread counts (and match the row path, which
+  // folds the same grid the same way).
   return MergeAndFinalize(agg_, has_having_, num_output_, &partials,
                           ctx_ != nullptr ? ctx_->memory() : nullptr);
 }

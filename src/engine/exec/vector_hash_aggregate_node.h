@@ -6,43 +6,35 @@
 
 #include "common/query_context.h"
 #include "common/threadpool.h"
+#include "engine/exec/aggregate_state.h"
 #include "engine/exec/bytecode.h"
 #include "engine/exec/columnar_scan_node.h"
 #include "engine/exec/plan.h"
+#include "engine/exec/view_registry.h"
 #include "engine/expr.h"
 
 namespace nlq::engine::exec {
 
-/// One aggregate-call argument in the vectorized ROW phase: either a
-/// compiled program evaluated per batch, or a literal Datum passed
-/// through unchanged (aggregate UDFs like nlq_list take leading
-/// VARCHAR configuration literals, which must not require
-/// compilation).
-struct VectorAggArg {
-  CompiledExprPtr prog;     // null when `constant` applies
-  storage::Datum constant;
-};
-
-/// Per-AggregateSpec compiled arguments, parallel to
-/// BoundAggregation::specs. COUNT(*) has none; SQL builtins have
-/// exactly one program.
-struct VectorAggSpec {
-  std::vector<VectorAggArg> args;
-};
-
-/// GROUP BY hash aggregation over the columnar pipeline: the same
-/// INIT / ROW / MERGE / FINALIZE protocol as HashAggregateNode (the
-/// shared state machinery in aggregate_state.h), but the ROW phase
-/// evaluates GROUP BY keys and aggregate arguments through compiled
-/// bytecode over span batches instead of interpreted Datum trees.
+/// The columnar aggregate operator: the INIT / ROW / MERGE / FINALIZE
+/// protocol of HashAggregateNode (aggregate_state.h), with the ROW
+/// phase running over span batches — GROUP BY keys and aggregate
+/// arguments through compiled bytecode, bare column arguments read in
+/// place — instead of interpreted Datum trees.
+///
+/// Without GROUP BY keys (the paper's global n,L,Q aggregate) each
+/// morsel stream keeps one partial state and aggregate UDFs that
+/// support spans take whole batches through AccumulateSpans (bare
+/// DOUBLE columns zero-copy, expression arguments from VM registers).
+/// A planner-attached maintained view (UseView) serves such a
+/// statement from the ViewRegistry instead; when serving fails the
+/// node degrades to its own scan.
 ///
 /// Bit-exactness with the row path holds because (a) group-key Datums
 /// are boxed from the same arithmetic the interpreter performs, (b)
 /// groups are inserted per row in batch order (identical hash-table
-/// iteration order), and (c) per (group, aggregate) accumulation
-/// visits rows in the same order — only the loop nesting (per-spec
-/// outer instead of per-row outer) differs, which is observationally
-/// identical because argument programs are pure.
+/// iteration order), (c) per (group, aggregate) accumulation visits
+/// rows in the same order, and AccumulateSpans is contractually
+/// byte-identical to per-row Accumulate calls.
 class VectorHashAggregateNode : public PlanNode {
  public:
   /// `child` is the columnar chain (ColumnarScan, possibly under a
@@ -64,12 +56,22 @@ class VectorHashAggregateNode : public PlanNode {
   /// Runs the four phases to completion and returns the result rows.
   StatusOr<std::vector<storage::Row>> Compute() const;
 
+  /// Serves this global aggregate from the maintained view `d` keys in
+  /// `views` (the node fills in d's aggregation). Probes the registry
+  /// for the EXPLAIN note; a probe that finds a stale entry (dropped
+  /// now) leaves this statement on the node's own scan, annotated
+  /// `view=stale`, and the next statement reseeds.
+  void UseView(ViewRegistry* views, ViewDescriptor d);
+
   /// EXPLAIN view annotation (e.g. "view=ineligible (group-by)") set
   /// only when the planner runs with view maintenance enabled; empty
   /// keeps the default EXPLAIN output unchanged.
   void set_view_note(std::string note) { view_note_ = std::move(note); }
 
  private:
+  /// ROW + MERGE + FINALIZE over the node's own scan.
+  StatusOr<std::vector<storage::Row>> Scan() const;
+
   const ColumnarScanNode* scan_;
   BoundAggregation agg_;
   std::vector<CompiledExprPtr> key_progs_;
@@ -80,6 +82,8 @@ class VectorHashAggregateNode : public PlanNode {
   size_t num_output_;
   ThreadPool* pool_;
   const QueryContext* ctx_;
+  ViewRegistry* views_ = nullptr;  // non-null: serve from view_
+  ViewDescriptor view_;
   std::string view_note_;
 };
 

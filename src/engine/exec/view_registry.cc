@@ -6,7 +6,6 @@
 
 #include "common/failpoint.h"
 #include "common/strings.h"
-#include "engine/exec/morsel.h"
 #include "storage/column_batch.h"
 
 namespace nlq::engine::exec {
@@ -46,15 +45,15 @@ void AppendDatumKey(const Datum& v, std::string* out) {
 /// at the scanner's decoded columns, pushed-down filters ANDed into a
 /// keep mask, fully-filtered batches skipped entirely (AccumulateSpans
 /// is never called for them — matching ColumnarScanStream::Filter),
-/// surviving batches compacted order-preserving. Identical code path
-/// shape ⇒ identical FP operation sequence ⇒ identical bits.
+/// surviving batches compacted order-preserving, then the aggregate
+/// node's own ROW phase. Identical code path shape ⇒ identical FP
+/// operation sequence ⇒ identical bits.
 Status AccumulateRange(const storage::Table& part, const ViewDescriptor& d,
-                       PartialState* state, uint64_t begin, uint64_t end,
-                       const QueryContext* ctx, bool use_failpoint,
-                       SpanScratch* scratch,
+                       AggState* state, uint64_t begin, uint64_t end,
+                       const QueryContext* ctx, SpanScratch* scratch,
                        std::vector<ScratchColumn>* compact,
                        std::vector<uint8_t>* keep) {
-  if (use_failpoint) NLQ_FAILPOINT("view_maintenance");
+  NLQ_FAILPOINT("view_maintenance");
   storage::ColumnBatchScanner scanner =
       part.ScanColumnBatchRange(d.slots, begin, end, d.batch_capacity);
   storage::ColumnBatch batch;
@@ -85,7 +84,8 @@ Status AccumulateRange(const storage::Table& part, const ViewDescriptor& d,
       }
       if (CompactColumnSpans(&span, keep->data(), compact) == 0) continue;
     }
-    NLQ_RETURN_IF_ERROR(AccumulateSpecsBatch(*d.specs, span, state, scratch));
+    NLQ_RETURN_IF_ERROR(AccumulateSpanBatch(*d.specs, *d.args, *d.slot_to_col,
+                                            span, state, scratch));
   }
   if (ctx != nullptr && ctx->stats() != nullptr) {
     ctx->stats()->pages_decoded.fetch_add(scanner.pages_decoded(),
@@ -110,16 +110,22 @@ std::string ViewRegistry::KeyOf(const ViewDescriptor& d) {
     key += ";";
   }
   key += "|a:";
-  for (const ColumnarAggSpec& spec : *d.specs) {
+  for (size_t i = 0; i < d.specs->size(); ++i) {
+    const AggregateSpec& spec = (*d.specs)[i];
+    const VectorAggSpec& args = (*d.args)[i];
     key += StringPrintf("%d:", static_cast<int>(spec.kind));
     if (spec.udaf != nullptr) key += spec.udaf->name();
     key += "(";
-    for (const Datum& c : spec.const_args) {
+    for (const Datum& c : args.const_args) {
       AppendDatumKey(c, &key);
       key += ",";
     }
     key += ")";
-    for (const size_t col : spec.arg_cols) key += StringPrintf("%zu,", col);
+    for (const CompiledExprPtr& prog : args.progs) {
+      // Length-prefixed: the serialized program is binary.
+      key += StringPrintf("%zu:", prog->cache_key().size());
+      key += prog->cache_key();
+    }
     key += StringPrintf("%d;", static_cast<int>(spec.result_type));
   }
   key += StringPrintf("|m:%llu", static_cast<unsigned long long>(d.morsel_rows));
@@ -193,13 +199,12 @@ Status ViewRegistry::AccumulateDeltas(Entry* e, const ViewDescriptor& d,
           mr == 0 ? cur
                   : std::min(cur, (static_cast<uint64_t>(mi) + 1) * mr);
       if (mi >= plist.size()) {
-        plist.push_back(std::make_unique<PartialState>());
-        NLQ_RETURN_IF_ERROR(InitPartial(*d.specs, &memory_,
-                                        plist.back().get()));
+        plist.push_back(std::make_unique<AggState>());
+        NLQ_RETURN_IF_ERROR(
+            InitAggState(*d.specs, &memory_, plist.back().get()));
       }
       NLQ_RETURN_IF_ERROR(AccumulateRange(part, d, plist[mi].get(), wm, mend,
-                                          ctx, /*use_failpoint=*/true,
-                                          &scratch, &compact, &keep));
+                                          ctx, &scratch, &compact, &keep));
       wm = mend;
     }
     e->watermarks[p] = cur;
@@ -213,7 +218,7 @@ Status ViewRegistry::AccumulateDeltas(Entry* e, const ViewDescriptor& d,
   return pool->ParallelFor(parts, refresh_one, ctx);
 }
 
-StatusOr<Row> ViewRegistry::MergeAndFinalize(const Entry& e,
+StatusOr<Row> ViewRegistry::FoldAndFinalize(const Entry& e,
                                              const ViewDescriptor& d) {
   // Fold a CLONE of the stored partials (never the stored state
   // itself: merging mutates the destination, and the registered
@@ -221,53 +226,25 @@ StatusOr<Row> ViewRegistry::MergeAndFinalize(const Entry& e,
   // replays the rescan's fold arithmetic exactly: the accumulator
   // starts as a byte copy of the first grid morsel's state, then the
   // remaining morsels fold in morsel-index order.
-  PartialState acc;
+  AggState acc;
   bool have_first = false;
   for (const auto& plist : e.partials) {
     for (const auto& pm : plist) {
       if (!have_first) {
         NLQ_RETURN_IF_ERROR(
-            ClonePartialInto(*d.specs, /*memory=*/nullptr, *pm, &acc));
+            CloneAggState(*d.specs, /*memory=*/nullptr, *pm, &acc));
         have_first = true;
         continue;
       }
-      NLQ_RETURN_IF_ERROR(MergePartial(*d.specs, &acc, pm.get()));
+      NLQ_RETURN_IF_ERROR(MergeAggState(*d.specs, *pm, &acc));
     }
   }
   if (!have_first) {
-    // Empty table: the rescan grid has one empty morsel whose partial
-    // is a freshly Init-ed state; replicate it.
-    NLQ_RETURN_IF_ERROR(InitPartial(*d.specs, /*memory=*/nullptr, &acc));
+    // Empty table: the rescan finalizes one freshly Init-ed global
+    // group; replicate it.
+    NLQ_RETURN_IF_ERROR(InitAggState(*d.specs, /*memory=*/nullptr, &acc));
   }
-  return FinalizePartial(*d.specs, acc);
-}
-
-StatusOr<Row> ViewRegistry::RescanWithoutView(const ViewDescriptor& d,
-                                              ThreadPool* pool,
-                                              const QueryContext* ctx) {
-  const std::vector<Morsel> grid = BuildMorselGrid(*d.table, d.morsel_rows);
-  const size_t n = grid.size();
-  std::vector<PartialState> partials(n);
-  MemoryTracker* memory = ctx != nullptr ? ctx->memory() : nullptr;
-  auto drain_one = [&](size_t m) -> Status {
-    NLQ_RETURN_IF_ERROR(InitPartial(*d.specs, memory, &partials[m]));
-    SpanScratch scratch;
-    std::vector<ScratchColumn> compact(d.slots.size());
-    std::vector<uint8_t> keep;
-    return AccumulateRange(d.table->partition(grid[m].partition), d,
-                           &partials[m], grid[m].begin, grid[m].end, ctx,
-                           /*use_failpoint=*/false, &scratch, &compact,
-                           &keep);
-  };
-  if (n == 1 || pool == nullptr) {
-    for (size_t m = 0; m < n; ++m) NLQ_RETURN_IF_ERROR(drain_one(m));
-  } else {
-    NLQ_RETURN_IF_ERROR(pool->ParallelFor(n, drain_one, ctx));
-  }
-  for (size_t m = 1; m < n; ++m) {
-    NLQ_RETURN_IF_ERROR(MergePartial(*d.specs, &partials[0], &partials[m]));
-  }
-  return FinalizePartial(*d.specs, partials[0]);
+  return FinalizeAggState(*d.specs, acc);
 }
 
 StatusOr<Row> ViewRegistry::Serve(const ViewDescriptor& d, ThreadPool* pool,
@@ -300,25 +277,13 @@ StatusOr<Row> ViewRegistry::Serve(const ViewDescriptor& d, ThreadPool* pool,
   uint64_t delta_rows = 0;
   Status status =
       AccumulateDeltas(it->second.get(), d, pool, ctx, &delta_rows);
-  StatusOr<Row> row = status.ok() ? MergeAndFinalize(*it->second, d)
+  StatusOr<Row> row = status.ok() ? FoldAndFinalize(*it->second, d)
                                   : StatusOr<Row>(status);
   if (!row.ok()) {
-    // A half-applied delta leaves the stored partials unusable either
-    // way: drop the entry. Cancellation/deadline unwind the statement;
-    // anything else (injected view_maintenance fault, exhausted view
-    // memory, decode error) degrades to a registry-free full rescan —
-    // a slower statement, never a wrong one.
+    // A half-applied delta leaves the stored partials unusable: drop
+    // the entry; the caller degrades (or unwinds on cancellation).
     views_.erase(it);
-    const StatusCode code = row.status().code();
-    if (code == StatusCode::kCancelled ||
-        code == StatusCode::kDeadlineExceeded) {
-      return row.status();
-    }
-    if (stats != nullptr) {
-      stats->view_misses.fetch_add(1, std::memory_order_relaxed);
-      stats->view_rebuilds.fetch_add(1, std::memory_order_relaxed);
-    }
-    return RescanWithoutView(d, pool, ctx);
+    return row.status();
   }
 
   if (stats != nullptr) {

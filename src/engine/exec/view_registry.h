@@ -11,7 +11,7 @@
 #include "common/query_context.h"
 #include "common/status.h"
 #include "common/threadpool.h"
-#include "engine/exec/agg_partials.h"
+#include "engine/exec/aggregate_state.h"
 #include "engine/exec/columnar_scan_node.h"
 #include "storage/partitioned_table.h"
 
@@ -19,14 +19,16 @@ namespace nlq::engine::exec {
 
 /// Identity of one maintainable aggregate query shape: the (table,
 /// column-set, WHERE-conjunct, aggregate-list) key a materialized
-/// sufficient-statistic view is registered under. The spec vector is
-/// referenced, not owned — it lives in the plan node driving the call.
+/// sufficient-statistic view is registered under. The aggregation is
+/// referenced, not owned — it lives in the plan node serving the view.
 struct ViewDescriptor {
   const storage::PartitionedTable* table = nullptr;
   std::string table_name;
   std::vector<size_t> slots;            // projected schema slots
   std::vector<ColumnFilter> filters;    // pushed-down conjuncts
-  const std::vector<ColumnarAggSpec>* specs = nullptr;
+  const std::vector<AggregateSpec>* specs = nullptr;
+  const std::vector<VectorAggSpec>* args = nullptr;  // parallel to specs
+  const std::vector<int>* slot_to_col = nullptr;     // slot -> span column
   uint64_t morsel_rows = 0;
   size_t batch_capacity = 1024;
 };
@@ -40,7 +42,7 @@ struct ViewProbe {
 };
 
 /// Registry of materialized sufficient-statistic views: per-morsel
-/// aggregate partials (agg_partials.h PartialState) kept across
+/// aggregate partials (aggregate_state.h AggState) kept across
 /// statements, keyed by query shape. A Serve() accumulates only the
 /// rows appended past each partition's watermark — O(delta) — then
 /// merges a *clone* of the stored partials in morsel-index order, so
@@ -52,7 +54,7 @@ struct ViewProbe {
 /// past the watermark); Clear/SpillToDisk/LoadFromFile do. An epoch
 /// mismatch, a table-pointer change (DROP + CREATE), or a shrunken row
 /// space invalidates the entry — Probe drops it and the planner falls
-/// back to the normal columnar pipeline for that statement.
+/// back to the aggregate node's own scan for that statement.
 ///
 /// Thread-safety: all public methods take one internal mutex; like the
 /// Database itself, one statement executes at a time, but invalidation
@@ -63,8 +65,8 @@ class ViewRegistry {
   /// `max_views` bounds memoization: registering past the cap evicts
   /// the least-recently-served entry. `memory_limit_bytes` bounds the
   /// total bytes of stored partial state (0 = unlimited, tracked);
-  /// exceeding it fails the accumulate, which degrades that statement
-  /// to a plain rescan and drops the entry.
+  /// exceeding it fails the accumulate, which drops the entry (the
+  /// statement then degrades to a plain rescan).
   explicit ViewRegistry(size_t max_views = 16,
                         uint64_t memory_limit_bytes = 0);
 
@@ -80,9 +82,10 @@ class ViewRegistry {
   /// accumulate, one partial per grid morsel) when no entry exists,
   /// delta-accumulates rows past each partition watermark otherwise,
   /// then clones + merges the stored partials in morsel-index order
-  /// and finalizes. On an accumulate failure other than cancellation /
-  /// deadline the entry is dropped and the statement degrades to a
-  /// registry-free full rescan — never a wrong result.
+  /// and finalizes. On any failure the entry is dropped and the error
+  /// returned: a half-applied delta leaves the stored partials
+  /// unusable. The caller degrades to a full rescan (unless the
+  /// statement was cancelled or timed out) — never a wrong result.
   StatusOr<storage::Row> Serve(const ViewDescriptor& d, ThreadPool* pool,
                                const QueryContext* ctx);
 
@@ -104,7 +107,7 @@ class ViewRegistry {
     std::vector<uint64_t> watermarks;  // rows accumulated per partition
     /// partials[p][m]: state of morsel m of partition p, in the same
     /// (partition, morsel-index) order BuildMorselGrid emits.
-    std::vector<std::vector<std::unique_ptr<PartialState>>> partials;
+    std::vector<std::vector<std::unique_ptr<AggState>>> partials;
     uint64_t last_served = 0;  // LRU tick for eviction
   };
 
@@ -117,22 +120,13 @@ class ViewRegistry {
 
   /// Accumulates rows [wm, rows) of every partition into `e`'s
   /// partials, extending the tail morsel and appending new ones.
-  /// `use_failpoint` is off on the degrade-to-rescan path so a still-
-  /// armed view_maintenance failpoint cannot re-fire there.
   Status AccumulateDeltas(Entry* e, const ViewDescriptor& d, ThreadPool* pool,
                           const QueryContext* ctx, uint64_t* delta_rows);
 
-  /// Registry-free full rescan: fresh per-morsel partials accumulated
-  /// from scratch (no failpoint), merged and finalized — the fallback
-  /// that keeps results correct when view maintenance fails.
-  StatusOr<storage::Row> RescanWithoutView(const ViewDescriptor& d,
-                                           ThreadPool* pool,
-                                           const QueryContext* ctx);
-
   /// Clones `e`'s stored partials and folds them in morsel-index
   /// order, then finalizes.
-  StatusOr<storage::Row> MergeAndFinalize(const Entry& e,
-                                          const ViewDescriptor& d);
+  StatusOr<storage::Row> FoldAndFinalize(const Entry& e,
+                                         const ViewDescriptor& d);
 
   void EvictIfNeeded();
 

@@ -18,7 +18,7 @@ namespace nlq::stats {
 inline constexpr size_t kMaxUdfDims = 64;
 
 /// The n, L, Q accumulation state shared by the row-path aggregate
-/// UDFs (nlq_list / nlq_string) and the columnar fast path — one
+/// UDFs (nlq_list / nlq_string) and the columnar aggregate — one
 /// definition so both paths provably run the same arithmetic (the
 /// paper's UDF_nLQ_storage struct).
 struct NlqState {

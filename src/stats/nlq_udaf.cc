@@ -17,7 +17,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // nlq_list / nlq_string state: NlqState and its INIT/ROW/MERGE/
 // FINALIZE arithmetic live in stats/nlq_kernel.{h,cc}, shared with the
-// engine's columnar fast path so both produce byte-identical results.
+// engine's columnar aggregate so both produce byte-identical results.
 // ---------------------------------------------------------------------------
 
 static_assert(sizeof(NlqState) <= udf::kDefaultHeapCapacity,

@@ -12,9 +12,9 @@ namespace nlq::stats {
 
 /// NULL policy (paper Section 2.1 complete-data assumption): a row
 /// with a NULL in any dimension argument is skipped by every nlq UDF —
-/// it contributes to none of n, L, Q, min or max. The columnar fast
-/// path implements the same policy by compacting NULL rows away
-/// before the fused kernel (see engine/exec/columnar_aggregate_node).
+/// it contributes to none of n, L, Q, min or max. The columnar
+/// aggregate implements the same policy by compacting NULL rows away
+/// before the fused kernel (see engine/exec/aggregate_state.h).
 /// kMaxUdfDims and the shared accumulation state live in
 /// stats/nlq_kernel.h.
 ///

@@ -127,47 +127,6 @@ Status SeekToRow(const Table& table, uint64_t begin, size_t* page_index,
 
 }  // namespace
 
-TableScanner::TableScanner(const Table* table)
-    : table_(table), codec_(&table->schema()) {
-  if (table_->is_spilled()) {
-    spill_ = MakeSpilledState(table_, AllSlots(table_->schema()), 0,
-                              table_->num_rows());
-    return;
-  }
-  if (table_->num_pages() > 0) {
-    rows_left_in_page_ = table_->page(0).row_count();
-  }
-}
-
-bool TableScanner::Next() {
-  if (spill_ != nullptr) {
-    if (!status_.ok() || spill_->next_row >= spill_->end_row) return false;
-    NLQ_FAILPOINT_BOOL("page_decode", &status_);
-    status_ = spill_->EnsureChunkFor(spill_->next_row);
-    if (!status_.ok()) return false;
-    const SpillChunkInfo& ck = spill_->seg->chunk(spill_->loaded_chunk);
-    SynthesizeRow(*spill_, static_cast<size_t>(spill_->next_row - ck.first_row),
-                  &row_);
-    ++spill_->next_row;
-    return true;
-  }
-  while (page_index_ < table_->num_pages() && rows_left_in_page_ == 0) {
-    ++page_index_;
-    page_offset_ = 0;
-    if (page_index_ < table_->num_pages()) {
-      rows_left_in_page_ = table_->page(page_index_).row_count();
-    }
-  }
-  if (page_index_ >= table_->num_pages()) return false;
-  NLQ_FAILPOINT_BOOL("page_decode", &status_);
-  const Page& page = table_->page(page_index_);
-  status_ =
-      codec_.Decode(page.payload(), page.payload_size(), &page_offset_, &row_);
-  if (!status_.ok()) return false;
-  --rows_left_in_page_;
-  return true;
-}
-
 BatchScanner::BatchScanner(const Table* table)
     : table_(table), codec_(&table->schema()), rows_wanted_(table->num_rows()) {
   if (table_->is_spilled()) {
@@ -391,8 +350,13 @@ void Table::AppendRowUnchecked(const Row& row) {
 StatusOr<std::vector<Row>> Table::ReadAllRows() const {
   std::vector<Row> rows;
   rows.reserve(num_rows_);
-  TableScanner scanner = Scan();
-  while (scanner.Next()) rows.push_back(scanner.row());
+  BatchScanner scanner = ScanBatch();
+  RowBatch batch;
+  while (scanner.Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      rows.push_back(std::move(batch.row(i)));
+    }
+  }
   if (!scanner.status().ok()) return scanner.status();
   return rows;
 }

@@ -41,32 +41,6 @@ struct SpilledScanState {
   Status EnsureChunkFor(uint64_t row);
 };
 
-/// Sequential cursor over one table partition. Decodes rows page by
-/// page; `Next` returns false at end of data.
-class TableScanner {
- public:
-  explicit TableScanner(const Table* table);
-
-  /// Advances to the next row; returns false at end. On success the
-  /// decoded row is available via `row()` (valid until the next call).
-  bool Next();
-
-  const Row& row() const { return row_; }
-
-  /// Error observed during the scan, if any.
-  const Status& status() const { return status_; }
-
- private:
-  const Table* table_;
-  RowCodec codec_;
-  size_t page_index_ = 0;
-  size_t page_offset_ = 0;
-  size_t rows_left_in_page_ = 0;
-  Row row_;
-  Status status_;
-  std::unique_ptr<SpilledScanState> spill_;  // set iff the table is spilled
-};
-
 /// Batched cursor over one table partition: decodes up to a batch's
 /// capacity of rows per call (a page's worth or more), amortizing
 /// cursor bookkeeping over the batch instead of paying it per row.
@@ -206,9 +180,6 @@ class Table {
   /// The on-disk segment backing a spilled table (nullptr otherwise).
   const SpillSegment* spill() const { return spill_.get(); }
 
-  /// Opens a scan cursor.
-  TableScanner Scan() const { return TableScanner(this); }
-
   /// Opens a batched scan cursor (one decode call per RowBatch).
   BatchScanner ScanBatch() const { return BatchScanner(this); }
 
@@ -277,7 +248,6 @@ class Table {
   const Page& page(size_t idx) const { return *pages_[idx]; }
 
  private:
-  friend class TableScanner;
   friend class BatchScanner;
   friend class ColumnBatchScanner;
 

@@ -82,7 +82,7 @@ class AggregateUdf {
   virtual StatusOr<storage::Datum> Finalize(const void* state) const = 0;
 
   /// True if this UDF implements AccumulateSpans, letting the engine's
-  /// columnar fast path feed it typed column spans instead of one
+  /// columnar aggregate feed it typed column spans instead of one
   /// boxed row at a time.
   virtual bool SupportsColumnarSpans() const { return false; }
 

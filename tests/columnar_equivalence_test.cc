@@ -1,8 +1,8 @@
-// Columnar-vs-row equivalence: the columnar fast path (ColumnarScan →
-// ColumnarAggregate with the fused N,L,Q span kernel) must produce
-// results *byte-identical* to the row path it replaces — the row path
-// stays in the tree as the correctness oracle. The same query is
-// planned both ways via QueryOptions::force_interpreted (which turns
+// Columnar-vs-row equivalence: the columnar aggregate (ColumnarScan →
+// VectorHashAggregate, whose global case feeds the fused N,L,Q span
+// kernel) must produce results *byte-identical* to the row path — the
+// row path stays in the tree as the correctness oracle. The same query
+// is planned both ways via QueryOptions::force_interpreted (which turns
 // off expression compilation and every columnar plan shape for that
 // statement), and results are compared on exact bit patterns.
 
@@ -26,7 +26,7 @@ using storage::DataType;
 using storage::Datum;
 
 /// Per-statement override that plans the pure interpreted row path —
-/// no fused fast path, no vector pipeline, no compiled programs.
+/// no columnar pipeline, no compiled programs.
 QueryOptions Interpreted() {
   QueryOptions options;
   options.force_interpreted = true;
@@ -109,7 +109,7 @@ std::string AssertPathsAgree(Database* db, const std::string& sql) {
   auto row_plan = db->Explain(sql, Interpreted());
   EXPECT_TRUE(col_plan.ok() && row_plan.ok());
   if (col_plan.ok() && row_plan.ok()) {
-    EXPECT_NE(col_plan->find("ColumnarAggregate"), std::string::npos)
+    EXPECT_NE(col_plan->find("VectorHashAggregate"), std::string::npos)
         << sql << "\n" << *col_plan;
     EXPECT_EQ(row_plan->find("Columnar"), std::string::npos)
         << sql << "\n" << *row_plan;
@@ -211,6 +211,37 @@ TEST(ColumnarEquivalenceTest, SimpleWherePushdownMatchesRowPath) {
   }
 }
 
+TEST(ColumnarEquivalenceTest, ExpressionArgumentsSpanFromRegisters) {
+  // Global nlq_list calls whose arguments are expressions or BIGINT
+  // columns: the columnar aggregate evaluates them through the VM and
+  // hands the registers (widened, NULL rows compacted away) to
+  // AccumulateSpans. Bit-identical to the interpreted per-row
+  // Accumulate calls, and across thread counts.
+  const char* kQueries[] = {
+      "SELECT nlq_list('triang', x1 * 1.0, x2, x3 + 0.5) FROM X",
+      "SELECT nlq_list('full', i, x1, x2) FROM X",
+      "SELECT nlq_list('diag', x1 * 2.0, i), count(*) FROM X WHERE x2 > 0",
+      "SELECT nlq_list('triang', x1 - x2, x3 * x4) FROM X "
+      "WHERE x1 + x2 > -10"};
+  std::vector<std::string> baseline;
+  for (const size_t threads : {1, 2, 4}) {
+    auto db = MakeTestDatabase(/*num_partitions=*/4, threads);
+    FillTable(db.get(), 2100, 4);
+    // NULLs reach the registers: those rows must be skipped whole.
+    NLQ_ASSERT_OK(db->ExecuteCommand(
+        "INSERT INTO X VALUES (9001, NULL, 1, 1, 1), (9002, 5, NULL, 5, 5)"));
+    std::vector<std::string> sigs;
+    for (const char* sql : kQueries) {
+      sigs.push_back(AssertPathsAgree(db.get(), sql));
+    }
+    if (baseline.empty()) {
+      baseline = sigs;
+    } else {
+      EXPECT_EQ(sigs, baseline) << "threads=" << threads;
+    }
+  }
+}
+
 TEST(ColumnarEquivalenceTest, ColumnCacheInvalidatedByAppend) {
   auto db = MakeTestDatabase(4);
   FillTable(db.get(), 100, 4);
@@ -229,14 +260,20 @@ TEST(ColumnarEquivalenceTest, PlannerChoosesColumnarOnlyWhenEligible) {
   NLQ_ASSERT_OK(db->ExecuteCommand("CREATE TABLE M (j BIGINT, c DOUBLE)"));
   NLQ_ASSERT_OK(db->ExecuteCommand("INSERT INTO M VALUES (1, 10)"));
 
-  // Eligible: global aggregate, bare columns, simple comparisons.
+  // Eligible: every single-table aggregate whose expressions compile
+  // runs the one columnar aggregate operator — global or grouped, bare
+  // or expression arguments, pushed or compiled WHERE, HAVING.
   for (const char* sql :
        {"SELECT nlq_list('triang', x1, x2) FROM X",
         "SELECT sum(x1), count(*), avg(x2) FROM X",
         "SELECT min(i), max(x3) FROM X WHERE x1 > 0 AND 2 >= x2",
-        "SELECT nlq_list('diag', x1) FROM X ORDER BY 1 LIMIT 3"}) {
+        "SELECT nlq_list('diag', x1) FROM X ORDER BY 1 LIMIT 3",
+        "SELECT sum(x1) FROM X GROUP BY i",         // group keys
+        "SELECT sum(x1 + 1) FROM X",                // expression arg
+        "SELECT sum(x1) FROM X WHERE x1 + x2 > 0",  // complex where
+        "SELECT count(*) FROM X GROUP BY i HAVING count(*) > 1"}) {  // having
     NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(sql));
-    EXPECT_NE(plan.find("ColumnarAggregate"), std::string::npos)
+    EXPECT_NE(plan.find("VectorHashAggregate"), std::string::npos)
         << sql << "\n" << plan;
     EXPECT_NE(plan.find("ColumnarScan"), std::string::npos)
         << sql << "\n" << plan;
@@ -247,20 +284,6 @@ TEST(ColumnarEquivalenceTest, PlannerChoosesColumnarOnlyWhenEligible) {
       db->Explain("SELECT sum(x1) FROM X WHERE x2 <= 1.5"));
   EXPECT_NE(filtered.find("filter: (x2 <= 1.5)"), std::string::npos)
       << filtered;
-
-  // Shapes the fused kernel rejects get a second chance on the general
-  // compiled pipeline (VectorHashAggregate over ColumnarScan).
-  for (const char* sql :
-       {"SELECT sum(x1) FROM X GROUP BY i",         // group keys
-        "SELECT sum(x1 + 1) FROM X",                // expression arg
-        "SELECT sum(x1) FROM X WHERE x1 + x2 > 0",  // complex where
-        "SELECT count(*) FROM X GROUP BY i HAVING count(*) > 1"}) {  // having
-    NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(sql));
-    EXPECT_EQ(plan.find("ColumnarAggregate"), std::string::npos)
-        << sql << "\n" << plan;
-    EXPECT_NE(plan.find("VectorHashAggregate"), std::string::npos)
-        << sql << "\n" << plan;
-  }
 
   // Genuinely ineligible shapes fall back to the row path.
   for (const char* sql :

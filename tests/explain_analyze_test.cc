@@ -235,7 +235,7 @@ TEST_F(ExplainAnalyzeTest, ColumnarPushdownSelectivityShowsAtTheScan) {
   // The pushed-down comparison filters inside the columnar scan, so
   // the scan itself reports post-filter rows.
   const OperatorStatsSnapshot* scan = FindOp(stats, "ColumnarScan");
-  const OperatorStatsSnapshot* agg = FindOp(stats, "ColumnarAggregate");
+  const OperatorStatsSnapshot* agg = FindOp(stats, "VectorHashAggregate");
   ASSERT_NE(scan, nullptr);
   ASSERT_NE(agg, nullptr);
   EXPECT_EQ(scan->rows_out, 15u);
@@ -275,7 +275,7 @@ TEST_F(ExplainAnalyzeTest, ColumnarCacheCountersTrackWarmth) {
 
   // The analyzed rendering of the columnar plan carries the actuals.
   NLQ_ASSERT_OK_AND_ASSIGN(std::string rendered, db_->ExplainAnalyze(kSql));
-  EXPECT_NE(rendered.find("ColumnarAggregate"), std::string::npos);
+  EXPECT_NE(rendered.find("VectorHashAggregate"), std::string::npos);
   EXPECT_NE(rendered.find("rows=1 "), std::string::npos);
 }
 

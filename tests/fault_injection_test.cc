@@ -362,6 +362,73 @@ TEST_F(FaultInjectionTest, ViewMaintenanceFaultDegradesToRescanNotWrongResults) 
   EXPECT_EQ(vdb.view_registry()->num_views(), 1u);
 }
 
+TEST_F(FaultInjectionTest, ViewRefreshFaultDegradesToTheNodesOwnScan) {
+  // A fault in a delta refresh of a served view: the aggregate node
+  // must fall back to its own scan, bit for bit the no-views answer,
+  // with the rebuild counted and the poisoned entry dropped. The
+  // pushed-down filter empties whole morsels on the way.
+  const char* kSql =
+      "SELECT nlq_list('triang', X1, X2), sum(X1), count(*) FROM X "
+      "WHERE i >= 700";
+  auto bits = [](const engine::ResultSet& r) {
+    std::string out = r.At(0, 0).string_value() + "|";
+    const double sum = r.At(0, 1).double_value();
+    uint64_t b = 0;
+    std::memcpy(&b, &sum, sizeof(b));
+    return out + std::to_string(b) + "|" +
+           std::to_string(r.At(0, 2).int_value());
+  };
+
+  // Small morsels so the filter empties whole ones; the baseline
+  // database has the same grid (and so the same merge order), views
+  // off.
+  engine::DatabaseOptions options;
+  options.num_partitions = 4;
+  options.morsel_rows = 64;
+  engine::Database pdb(options);
+  options.enable_view_maintenance = true;
+  engine::Database vdb(options);
+  gen::MixtureOptions gen_options;
+  gen_options.n = kRows;
+  gen_options.d = 2;
+  gen_options.seed = 77;
+  const char* kAppend =
+      "INSERT INTO X VALUES (5000, 0.5, 1.0), (5001, -1.5, 2.5)";
+  for (engine::Database* db : {&pdb, &vdb}) {
+    NLQ_ASSERT_OK(stats::RegisterAllStatsUdfs(&db->udfs()));
+    NLQ_ASSERT_OK(gen::GenerateDataSetTable(db, "X", gen_options).status());
+    NLQ_ASSERT_OK(db->Execute(kSql).status());  // seeds vdb's view
+    NLQ_ASSERT_OK(db->ExecuteCommand(kAppend));
+  }
+  ASSERT_EQ(vdb.view_registry()->num_views(), 1u);
+  auto baseline = pdb.Execute(kSql);
+  NLQ_ASSERT_OK(baseline.status());
+
+  NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, vdb.Explain(kSql));
+  EXPECT_NE(plan.find("VectorHashAggregate"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("view=fresh delta=2"), std::string::npos) << plan;
+
+  failpoint::Activate("view_maintenance",
+                      Status::Internal("injected refresh fault"));
+  auto degraded = vdb.Execute(kSql);
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  EXPECT_GE(failpoint::HitCount("view_maintenance"), 1);
+  EXPECT_EQ(bits(*degraded), bits(*baseline));
+  ASSERT_TRUE(vdb.last_query_stats().has_value());
+  EXPECT_EQ(vdb.last_query_stats()->view_rebuilds, 1u);
+  EXPECT_EQ(vdb.last_query_stats()->view_hits, 0u);
+  EXPECT_EQ(vdb.view_registry()->num_views(), 0u);
+
+  // Disarmed, the next statement reseeds and still matches.
+  failpoint::Deactivate("view_maintenance");
+  NLQ_ASSERT_OK_AND_ASSIGN(plan, vdb.Explain(kSql));
+  EXPECT_NE(plan.find("view=stale (seeding"), std::string::npos) << plan;
+  auto reseeded = vdb.Execute(kSql);
+  ASSERT_TRUE(reseeded.ok()) << reseeded.status().ToString();
+  EXPECT_EQ(bits(*reseeded), bits(*baseline));
+  EXPECT_EQ(vdb.view_registry()->num_views(), 1u);
+}
+
 TEST_F(FaultInjectionTest, ColumnCacheFillFaultSurfaces) {
   // Columnar aggregates warm the decoded-column cache through
   // EnsureDecodedColumns — the page_decode site covers that path too.

@@ -244,12 +244,15 @@ TEST(TableTest, AppendAndScan) {
     NLQ_ASSERT_OK(table.AppendRow(MakeDataRow(i, i * 1.0, i * 2.0)));
   }
   EXPECT_EQ(table.num_rows(), 100u);
-  TableScanner scanner = table.Scan();
+  BatchScanner scanner = table.ScanBatch();
+  RowBatch batch;
   int count = 0;
   double sum_x1 = 0;
-  while (scanner.Next()) {
-    ++count;
-    sum_x1 += scanner.row()[1].double_value();
+  while (scanner.Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ++count;
+      sum_x1 += batch.row(i)[1].double_value();
+    }
   }
   NLQ_ASSERT_OK(scanner.status());
   EXPECT_EQ(count, 100);
@@ -295,8 +298,9 @@ TEST(TableTest, ClearResets) {
   table.Clear();
   EXPECT_EQ(table.num_rows(), 0u);
   EXPECT_EQ(table.num_pages(), 0u);
-  TableScanner scanner = table.Scan();
-  EXPECT_FALSE(scanner.Next());
+  BatchScanner scanner = table.ScanBatch();
+  RowBatch batch;
+  EXPECT_FALSE(scanner.Next(&batch));
 }
 
 

@@ -223,6 +223,12 @@ TEST(ViewMaintenanceTest, RefreshAfterAppendDoesDeltaWorkOnly) {
   EXPECT_EQ(idle_stats.view_hits, 1u);
   EXPECT_EQ(idle_stats.view_delta_rows, 0u);
   EXPECT_EQ(idle_stats.pages_decoded, 0u);
+
+  // Serving a view never warms or fills the decoded-column cache: the
+  // aggregate node's own scan stays unopened.
+  for (const auto* st : {&seed_stats, &delta_stats, &idle_stats}) {
+    EXPECT_EQ(st->column_cache_hits + st->column_cache_misses, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -237,7 +243,7 @@ TEST(ViewMaintenanceTest, ExplainTracksFreshStaleIneligible) {
 
   // Unregistered: the plan seeds.
   NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(kSql));
-  EXPECT_NE(plan.find("MaintainedViewScan"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("VectorHashAggregate"), std::string::npos) << plan;
   EXPECT_NE(plan.find("view=stale (seeding 500 row(s))"), std::string::npos)
       << plan;
 
@@ -252,15 +258,16 @@ TEST(ViewMaintenanceTest, ExplainTracksFreshStaleIneligible) {
       << plan;
 
   // A destructive mutation (Clear bumps the partition's epoch): the
-  // first probe observes staleness, drops the entry and plans the
-  // normal pipeline; the next statement reseeds.
+  // first probe observes staleness, drops the entry and leaves the
+  // aggregate on its own scan; the next statement reseeds.
   NLQ_ASSERT_OK_AND_ASSIGN(storage::PartitionedTable * table,
                            db->catalog().GetTable("T"));
   table->partition(0).Clear();
   NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(kSql));
-  EXPECT_NE(plan.find("ColumnarAggregate"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("VectorHashAggregate"), std::string::npos) << plan;
   EXPECT_NE(plan.find("view=stale"), std::string::npos) << plan;
-  EXPECT_EQ(plan.find("MaintainedViewScan"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("seeding"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("view=fresh"), std::string::npos) << plan;
   NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(kSql));
   EXPECT_NE(plan.find("view=stale (seeding"), std::string::npos) << plan;
 
@@ -374,7 +381,7 @@ TEST(ViewMaintenanceTest, DisabledByDefault) {
   NLQ_ASSERT_OK_AND_ASSIGN(
       std::string plan, db->Explain("SELECT nlq_list('diag', X1) FROM T"));
   EXPECT_EQ(plan.find("view="), std::string::npos) << plan;
-  EXPECT_EQ(plan.find("MaintainedViewScan"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("VectorHashAggregate"), std::string::npos) << plan;
 }
 
 }  // namespace
