@@ -23,8 +23,10 @@
 //   view_delta_rows — rows the last refresh accumulated through the
 //                     maintained view (burst_rows for the view
 //                     variant, 0 for rescan): the O(k) claim;
-//   pages_decoded   — pages the last refresh touched: O(k/page) for
-//                     the view variant, O(n/page) for rescan;
+//   pages_decoded   — 64 KB storage blocks the last refresh read (the
+//                     projected column bytes of every morsel, rounded
+//                     up per chunk): O(k) for the view variant, O(n)
+//                     for rescan;
 //   view_hits       — 1 for a served view refresh, 0 for rescan.
 
 #include <benchmark/benchmark.h>
@@ -113,8 +115,8 @@ void BM_Refresh(benchmark::State& state, size_t d, uint64_t paper_k,
   uint64_t next_id = rows;
 
   // Seed pass: registers + fills the maintained view (view variant)
-  // and warms the decoded-column cache (both variants), so the timed
-  // loop measures steady-state refresh, not first-touch costs.
+  // and compiles the statement (both variants), so the timed loop
+  // measures steady-state refresh, not first-touch costs.
   bench::Require(db->Execute(sql).status(), state);
 
   const Clock::time_point t0 = Clock::now();

@@ -6,11 +6,11 @@
 //   rows   — SufStats::Update over materialized Datum rows (adds the
 //            value-model cost);
 //   batched — SufStats::Update over the storage layer's batch scan
-//            (page decode into reused 1024-row RowBatches, no
+//            (chunk columns boxed into reused 1024-row RowBatches, no
 //            expression evaluation) — the raw cost of the morsel
 //            scan feeding the operator pipeline;
-//   columnar — the fused N,L,Q span kernel over the columnar scan
-//            (pages decoded straight into double arrays, no Datum
+//   columnar — the fused N,L,Q span kernel over the chunk cursor
+//            (spans read in place from the column chunks, no Datum
 //            boxing) — what the engine's columnar fast path runs
 //            per partition;
 //   interpreted — the wide 1+d+|Q| SUM-of-products SQL query with the
@@ -22,7 +22,7 @@
 //            compiled to register bytecode and evaluated over column
 //            spans by VectorHashAggregate (engine/exec/bytecode.h);
 //   engine — the full nlq_list query (the planner's columnar fast
-//            path: decode + fused kernel + partitioned execution +
+//            path: chunk scan + fused kernel + partitioned execution +
 //            merge).
 //
 // The gap between `raw` and `engine` is the DBMS tax the paper's
@@ -133,16 +133,15 @@ void BM_ColumnarScan(benchmark::State& state) {
         stats::SetNlqShape(&nlq, d, stats::MatrixKind::kLowerTriangular),
         state);
     for (size_t p = 0; p < (*table)->num_partitions(); ++p) {
-      storage::ColumnBatchScanner scanner =
-          (*table)->ScanPartitionColumnBatches(p, slots);
-      storage::ColumnBatch batch;
-      while (scanner.Next(&batch)) {
+      const storage::Table& part = (*table)->partition(p);
+      storage::ChunkCursor cursor(&part, slots, 0, part.num_rows());
+      while (cursor.Next(storage::kChunkRows)) {
         for (size_t a = 0; a < d; ++a) {
-          spans[a] = batch.column(a).double_data();
+          spans[a] = cursor.column(a).double_data() + cursor.offset();
         }
-        stats::NlqAccumulateSpans(&nlq, spans.data(), batch.size());
+        stats::NlqAccumulateSpans(&nlq, spans.data(), cursor.rows());
       }
-      bench::Require(scanner.status(), state);
+      bench::Require(cursor.status(), state);
     }
     benchmark::DoNotOptimize(nlq);
   }
@@ -151,8 +150,7 @@ void BM_ColumnarScan(benchmark::State& state) {
 // Shared body for the interpreted/compiled altitudes: the wide
 // 1 + d + |Q| SUM-of-products query through the full engine, with the
 // expression bytecode forced off or left on. One untimed warmup run
-// pays compilation and the column-decode cache fill so the timed
-// delta is expression evaluation itself.
+// pays compilation so the timed delta is expression evaluation itself.
 void RunWideSqlAltitude(benchmark::State& state, bool force_interpreted) {
   const size_t d = kDims[state.range(0)];
   const uint64_t rows = bench::ScaledRows(1600);

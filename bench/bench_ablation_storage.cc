@@ -7,11 +7,11 @@
 //            construction; the simd/scalar real_time ratio is the
 //            headline kernel speedup;
 //   gamma_query — the full nlq_list('full', X1..X32) query on a
-//            resident cached table under each kernel mode: how much
+//            resident table under each kernel mode: how much
 //            of the kernel win survives planning, morsel dispatch and
 //            merge;
 //   scan — the same d=8 full-Gamma scan at three storage altitudes:
-//            resident (uncompressed in-memory pages), spilled with a
+//            resident (plain in-memory column chunks), spilled with a
 //            pool large enough to hold the whole compressed image
 //            (compressed-resident: decompress on every hit, no I/O
 //            after warmup), and spilled through a minimum-size pool
@@ -118,8 +118,8 @@ void BM_GammaQuery(benchmark::State& state, stats::NlqKernelMode mode,
   const std::string sql = FullGammaSql(kD);
 
   stats::SetNlqKernelMode(mode);
-  // Warm the decoded-column cache so the timed loop isolates the
-  // kernel + pipeline, not first-touch page decode.
+  // One untimed run pays compilation and first-touch page faults so
+  // the timed loop isolates the kernel + pipeline.
   bench::Require(db->Execute(sql).status(), state);
   const Clock::time_point t0 = Clock::now();
   for (auto _ : state) {
@@ -154,7 +154,7 @@ void BM_ScanStorage(benchmark::State& state, bool spilled,
   if (spilled) bench::Require(db->SpillTable("X"), state);
   const std::string sql = FullGammaSql(kD);
 
-  bench::Require(db->Execute(sql).status(), state);  // warm pool/cache
+  bench::Require(db->Execute(sql).status(), state);  // warm the pool
   storage::BufferPoolStats before;
   if (db->buffer_pool() != nullptr) before = db->buffer_pool()->GetStats();
   const Clock::time_point t0 = Clock::now();

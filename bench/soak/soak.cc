@@ -333,9 +333,10 @@ Status SoakDriver::Setup() {
     tables_.back()->applied_batches = options_.seed_batches;
   }
 
-  // Read-only spilled table: builds/scoring on it run through the
-  // buffer pool (page_decompress chaos target); its oracle replay
-  // stays resident, which the spilled==resident guarantee covers.
+  // Static spilled table (never appended): builds/scoring on it run
+  // through the buffer pool (page_decompress chaos target); its oracle
+  // replay stays resident, which the spilled==resident guarantee
+  // covers.
   if (options_.spilled_table) {
     const size_t ts = BuildOracle::SpilledIndex(options_);
     NLQ_RETURN_IF_ERROR(db_->ExecuteCommand(

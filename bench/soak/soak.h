@@ -66,8 +66,9 @@ struct SoakOptions {
   uint64_t rng_seed = 42;
 
   /// Appendable model tables T0..T{tables-1}, plus (optionally) one
-  /// read-only spilled table TS — the page_decompress chaos target —
-  /// and one small static table TEXPORT for the odbc chaos phase.
+  /// never-appended spilled table TS — the page_decompress chaos
+  /// target — and one small static table TEXPORT for the odbc chaos
+  /// phase.
   size_t tables = 2;
   size_t dims = 3;             // X1..Xd
   uint64_t seed_batches = 32;  // initial batches per table
@@ -161,7 +162,7 @@ class BuildOracle {
   explicit BuildOracle(const SoakOptions& options) : options_(options) {}
 
   /// Logical table names. Indexes 0..tables-1 are appendable;
-  /// SpilledIndex() names the read-only spilled table.
+  /// SpilledIndex() names the static spilled table.
   static std::string TableName(size_t t);
   static size_t SpilledIndex(const SoakOptions& options) {
     return options.tables;

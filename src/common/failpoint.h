@@ -24,8 +24,8 @@ namespace nlq::failpoint {
 /// skip themselves via NLQ_FAILPOINTS.
 ///
 /// Registered site catalog (see DESIGN.md section 9):
-///   page_decode     — storage row/column page decode (scanners, cache
-///                     fill)
+///   page_decode     — storage chunk load (ChunkCursor: every resident
+///                     or spilled chunk a scan, spill or save reads)
 ///   partition_scan  — exec-layer scan streams (row + columnar)
 ///   udf_accumulate  — aggregate-UDF ROW phase (row + span paths)
 ///   udf_merge       — aggregate-UDF MERGE phase

@@ -10,7 +10,7 @@ namespace nlq {
 
 /// Per-query memory accountant. Execution-time consumers of unbounded
 /// memory — UDF heap segments, hash-aggregate tables, sort/gather row
-/// buffers, the decoded-column cache — charge their allocations here;
+/// buffers — charge their allocations here;
 /// a charge that would push the total past the budget fails with
 /// kResourceExhausted and the query unwinds cleanly instead of growing
 /// without bound (the in-DBMS safety argument of the paper: user code
@@ -37,9 +37,9 @@ class MemoryTracker {
   /// UDF heap segment") plus the would-be total vs the limit.
   Status Charge(uint64_t bytes, const char* what);
 
-  /// Non-failing variant for callers with a fallback path (the
-  /// decoded-column cache): returns false and charges nothing when the
-  /// budget would overflow.
+  /// Non-failing variant for callers with a fallback path (the server's
+  /// admission reservation): returns false and charges nothing when
+  /// the budget would overflow.
   bool TryCharge(uint64_t bytes);
 
   /// Returns previously charged bytes to the budget.

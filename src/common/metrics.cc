@@ -245,17 +245,6 @@ void QueryStats::CountMorselClaim(size_t worker_id) {
   }
 }
 
-void QueryStats::AddCacheNote(const std::string& note) {
-  std::lock_guard<std::mutex> lock(note_mu_);
-  if (!column_cache_note_.empty()) column_cache_note_ += "; ";
-  column_cache_note_ += note;
-}
-
-std::string QueryStats::CacheNote() const {
-  std::lock_guard<std::mutex> lock(note_mu_);
-  return column_cache_note_;
-}
-
 std::vector<uint64_t> QueryStats::WorkerMorselClaims() const {
   std::vector<uint64_t> claims;
   claims.reserve(workers_.size());
@@ -269,27 +258,20 @@ std::string QueryStatsSnapshot::ToJson() const {
   std::string out = StringPrintf(
       "{\"query_id\": %llu, \"wall_time_ns\": %llu, "
       "\"memory_peak_bytes\": %llu, \"rows_returned\": %llu, "
-      "\"pages_decoded\": %llu, \"column_cache_hits\": %llu, "
-      "\"column_cache_misses\": %llu, \"column_cache_fallbacks\": %llu, "
+      "\"pages_decoded\": %llu, "
       "\"rows_vectorized\": %llu, \"view_hits\": %llu, "
       "\"view_misses\": %llu, \"view_delta_rows\": %llu, "
-      "\"view_rebuilds\": %llu, ",
+      "\"view_rebuilds\": %llu, \"operators\": [",
       static_cast<unsigned long long>(query_id),
       static_cast<unsigned long long>(wall_time_ns),
       static_cast<unsigned long long>(memory_peak_bytes),
       static_cast<unsigned long long>(rows_returned),
       static_cast<unsigned long long>(pages_decoded),
-      static_cast<unsigned long long>(column_cache_hits),
-      static_cast<unsigned long long>(column_cache_misses),
-      static_cast<unsigned long long>(column_cache_fallbacks),
       static_cast<unsigned long long>(rows_vectorized),
       static_cast<unsigned long long>(view_hits),
       static_cast<unsigned long long>(view_misses),
       static_cast<unsigned long long>(view_delta_rows),
       static_cast<unsigned long long>(view_rebuilds));
-  out += "\"column_cache_note\": ";
-  AppendJsonString(column_cache_note, &out);
-  out += ", \"operators\": [";
   bool first = true;
   for (const OperatorStatsSnapshot& op : operators) {
     if (!first) out += ", ";
@@ -323,12 +305,6 @@ QueryStatsSnapshot SnapshotQueryStats(const QueryStats& stats) {
   snap.memory_peak_bytes = stats.memory_peak_bytes;
   snap.rows_returned = stats.rows_returned.load(std::memory_order_relaxed);
   snap.pages_decoded = stats.pages_decoded.load(std::memory_order_relaxed);
-  snap.column_cache_hits =
-      stats.column_cache_hits.load(std::memory_order_relaxed);
-  snap.column_cache_misses =
-      stats.column_cache_misses.load(std::memory_order_relaxed);
-  snap.column_cache_fallbacks =
-      stats.column_cache_fallbacks.load(std::memory_order_relaxed);
   snap.rows_vectorized =
       stats.rows_vectorized.load(std::memory_order_relaxed);
   snap.view_hits = stats.view_hits.load(std::memory_order_relaxed);
@@ -336,7 +312,6 @@ QueryStatsSnapshot SnapshotQueryStats(const QueryStats& stats) {
   snap.view_delta_rows =
       stats.view_delta_rows.load(std::memory_order_relaxed);
   snap.view_rebuilds = stats.view_rebuilds.load(std::memory_order_relaxed);
-  snap.column_cache_note = stats.CacheNote();
   for (const OperatorStats& op : stats.operators()) {
     OperatorStatsSnapshot s;
     s.name = op.name;

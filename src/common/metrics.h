@@ -192,10 +192,13 @@ class QueryStats {
   std::vector<uint64_t> WorkerMorselClaims() const;
 
   // Storage-layer counters (see DESIGN.md section 10).
+  /// Storage blocks the statement's chunk cursors read, in 64 KB
+  /// (kPageSize) units: the buffer-pool pages of every spilled chunk a
+  /// cursor decoded, plus for every resident chunk it visited the plain
+  /// bytes of the projected columns inside its range (8 per value)
+  /// rounded up to whole blocks. A chunk shared by two morsels counts
+  /// once per morsel.
   std::atomic<uint64_t> pages_decoded{0};
-  std::atomic<uint64_t> column_cache_hits{0};
-  std::atomic<uint64_t> column_cache_misses{0};
-  std::atomic<uint64_t> column_cache_fallbacks{0};
   std::atomic<uint64_t> rows_returned{0};
   /// Rows whose expressions ran through the compiled bytecode path
   /// (engine/exec/bytecode.h) rather than the interpreter; each
@@ -217,17 +220,8 @@ class QueryStats {
   uint64_t wall_time_ns = 0;
   uint64_t memory_peak_bytes = 0;
 
-  /// Appends a note naming which consumer forced a decoded-column
-  /// cache fallback and why (budget exhausted, spilled table, ...).
-  /// Multiple notes join with "; ". Mutex-guarded so concurrent scan
-  /// warm-ups cannot tear the string.
-  void AddCacheNote(const std::string& note);
-  std::string CacheNote() const;
-
  private:
   std::deque<OperatorStats> operators_;
-  mutable std::mutex note_mu_;
-  std::string column_cache_note_;
   struct alignas(64) WorkerCounter {
     std::atomic<uint64_t> claims{0};
   };
@@ -251,18 +245,12 @@ struct QueryStatsSnapshot {
   uint64_t wall_time_ns = 0;
   uint64_t memory_peak_bytes = 0;
   uint64_t rows_returned = 0;
-  uint64_t pages_decoded = 0;
-  uint64_t column_cache_hits = 0;
-  uint64_t column_cache_misses = 0;
-  uint64_t column_cache_fallbacks = 0;
+  uint64_t pages_decoded = 0;  // unit: see QueryStats::pages_decoded
   uint64_t rows_vectorized = 0;
   uint64_t view_hits = 0;
   uint64_t view_misses = 0;
   uint64_t view_delta_rows = 0;
   uint64_t view_rebuilds = 0;
-  /// Why the decoded-column cache fell back (empty when it did not):
-  /// names the consumer and the budget arithmetic that rejected it.
-  std::string column_cache_note;
   std::vector<OperatorStatsSnapshot> operators;
   std::vector<uint64_t> worker_morsel_claims;
 

@@ -56,26 +56,10 @@ StatusOr<Row> CoerceRowToSchema(const Row& row, const Schema& schema) {
   return out;
 }
 
-/// Rewrites the bare kNotSupported a spilled table returns on append
-/// into an actionable INSERT error: name the table and point at the
-/// resident path (spilling is one-way; appends need a resident table).
-Status WrapAppendError(Status status, const std::string& table_name) {
-  if (status.ok() || status.code() != StatusCode::kNotSupported) {
-    return status;
-  }
-  return Status::NotSupported(StringPrintf(
-      "cannot INSERT into '%s': the table is spilled to disk and "
-      "read-only; DROP TABLE %s and re-CREATE it resident (then reload "
-      "and re-append) to continue inserting",
-      table_name.c_str(), table_name.c_str()));
-}
-
-Status AppendResultToTable(const ResultSet& result, PartitionedTable* table,
-                           const std::string& table_name) {
+Status AppendResultToTable(const ResultSet& result, PartitionedTable* table) {
   for (const Row& row : result.rows()) {
     NLQ_ASSIGN_OR_RETURN(Row coerced, CoerceRowToSchema(row, table->schema()));
-    NLQ_RETURN_IF_ERROR(WrapAppendError(table->AppendRow(coerced),
-                                        table_name));
+    NLQ_RETURN_IF_ERROR(table->AppendRow(coerced));
   }
   return Status::OK();
 }
@@ -137,9 +121,6 @@ Status Database::SpillTable(std::string_view name) {
     buffer_pool_ =
         std::make_unique<storage::BufferPool>(options_.buffer_pool_bytes);
   }
-  const size_t chunk_rows = options_.spill_chunk_rows > 0
-                                ? options_.spill_chunk_rows
-                                : storage::SpillSegment::kDefaultChunkRows;
   // Scratch name: directory + table + this database's address keeps
   // concurrent databases apart; the file is unlinked on open anyway.
   const std::string path =
@@ -150,7 +131,7 @@ Status Database::SpillTable(std::string_view name) {
   if (view_registry_ != nullptr) {
     view_registry_->InvalidateTable(std::string(name));
   }
-  return table->SpillToDisk(path, buffer_pool_.get(), chunk_rows);
+  return table->SpillToDisk(path, buffer_pool_.get());
 }
 
 StatusOr<ResultSet> Database::ExecuteSelect(const SelectStatement& select,
@@ -158,8 +139,7 @@ StatusOr<ResultSet> Database::ExecuteSelect(const SelectStatement& select,
                                             bool force_interpreted) {
   exec::Planner planner(&catalog_, &registry_, pool_.get(),
                         storage::RowBatch::kDefaultCapacity,
-                        options_.enable_column_cache, options_.morsel_rows,
-                        ctx, !force_interpreted,
+                        options_.morsel_rows, ctx, !force_interpreted,
                         bytecode_cache_.get(), view_registry_.get());
   NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan, planner.Plan(select));
   if (ctx != nullptr && ctx->stats() != nullptr) {
@@ -248,12 +228,6 @@ StatusOr<ResultSet> Database::Execute(std::string_view sql,
         .Add(stats->rows_returned.load(std::memory_order_relaxed));
     metrics.counter("storage.pages_decoded")
         .Add(stats->pages_decoded.load(std::memory_order_relaxed));
-    metrics.counter("storage.column_cache.hits")
-        .Add(stats->column_cache_hits.load(std::memory_order_relaxed));
-    metrics.counter("storage.column_cache.misses")
-        .Add(stats->column_cache_misses.load(std::memory_order_relaxed));
-    metrics.counter("storage.column_cache.fallbacks")
-        .Add(stats->column_cache_fallbacks.load(std::memory_order_relaxed));
     uint64_t claims = 0;
     for (const uint64_t c : stats->WorkerMorselClaims()) claims += c;
     metrics.counter("exec.morsels_claimed").Add(claims);
@@ -305,8 +279,7 @@ StatusOr<ResultSet> Database::ExecuteStatement(Statement& stmt,
         NLQ_ASSIGN_OR_RETURN(
             PartitionedTable * table,
             catalog_.CreateTable(create.table_name, result.schema()));
-        NLQ_RETURN_IF_ERROR(
-            AppendResultToTable(result, table, create.table_name));
+        NLQ_RETURN_IF_ERROR(AppendResultToTable(result, table));
         return ResultSet();
       }
       NLQ_RETURN_IF_ERROR(
@@ -322,8 +295,7 @@ StatusOr<ResultSet> Database::ExecuteStatement(Statement& stmt,
         NLQ_ASSIGN_OR_RETURN(
             ResultSet result,
             ExecuteSelect(*insert.select, ctx, force_interpreted));
-        NLQ_RETURN_IF_ERROR(
-            AppendResultToTable(result, table, insert.table_name));
+        NLQ_RETURN_IF_ERROR(AppendResultToTable(result, table));
         return ResultSet();
       }
       // VALUES rows: constant expressions bound against an empty scope.
@@ -344,8 +316,7 @@ StatusOr<ResultSet> Database::ExecuteStatement(Statement& stmt,
         NLQ_RETURN_IF_ERROR(error);
         NLQ_ASSIGN_OR_RETURN(Row coerced,
                              CoerceRowToSchema(row, table->schema()));
-        NLQ_RETURN_IF_ERROR(WrapAppendError(table->AppendRow(coerced),
-                                            insert.table_name));
+        NLQ_RETURN_IF_ERROR(table->AppendRow(coerced));
       }
       return ResultSet();
     }
@@ -364,8 +335,7 @@ StatusOr<ResultSet> Database::ExecuteStatement(Statement& stmt,
         // Plain EXPLAIN: plan only, never execute.
         exec::Planner planner(
             &catalog_, &registry_, pool_.get(),
-            storage::RowBatch::kDefaultCapacity,
-            options_.enable_column_cache, options_.morsel_rows, ctx,
+            storage::RowBatch::kDefaultCapacity, options_.morsel_rows, ctx,
             !force_interpreted,
             bytecode_cache_.get(), view_registry_.get());
         NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan,
@@ -403,7 +373,7 @@ StatusOr<std::string> Database::Explain(std::string_view sql,
   std::shared_lock<std::shared_mutex> gate(statement_mu_);
   exec::Planner planner(
       &catalog_, &registry_, pool_.get(), storage::RowBatch::kDefaultCapacity,
-      options_.enable_column_cache, options_.morsel_rows, /*ctx=*/nullptr,
+      options_.morsel_rows, /*ctx=*/nullptr,
       !query_options.force_interpreted,
       bytecode_cache_.get(), view_registry_.get());
   NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan, planner.Plan(*stmt.select));

@@ -48,12 +48,6 @@ struct DatabaseOptions {
   /// partition (the pre-morsel partition-granular behavior).
   uint64_t morsel_rows = 16384;
 
-  /// Keep per-partition decoded column arrays cached between columnar
-  /// fast-path scans (iterative model building re-scans the same table
-  /// many times). Appends invalidate the cache; disable to bound
-  /// memory at one decode per scan instead.
-  bool enable_column_cache = true;
-
   /// Default per-statement timeout in milliseconds; 0 = none. A
   /// statement that runs past its deadline unwinds with
   /// kDeadlineExceeded within one morsel/batch of latency instead of
@@ -61,11 +55,10 @@ struct DatabaseOptions {
   int64_t default_timeout_ms = 0;
 
   /// Default per-query memory budget in bytes for execution-time state
-  /// (UDF heap segments, hash-aggregate tables, sort/gather buffers,
-  /// decoded-column cache fills); 0 = unlimited. A query that would
-  /// exceed it fails with kResourceExhausted — except the column
-  /// cache, which falls back to streaming decode. Overridable per
-  /// query (QueryOptions).
+  /// (UDF heap segments, hash-aggregate tables, sort/gather buffers);
+  /// 0 = unlimited. A query that would exceed it fails with
+  /// kResourceExhausted. Scans charge nothing: they read the table's
+  /// column chunks in place. Overridable per query (QueryOptions).
   uint64_t query_memory_limit = 0;
 
   /// Collect per-query observability stats (operator actuals, storage
@@ -86,10 +79,6 @@ struct DatabaseOptions {
   /// they are opened (the fd keeps the data alive), so nothing is left
   /// behind however the process exits.
   std::string spill_directory = "/tmp";
-
-  /// Rows per spill chunk — the decode granularity of spilled scans.
-  /// 0 = SpillSegment::kDefaultChunkRows.
-  size_t spill_chunk_rows = 0;
 
   /// Maintain materialized sufficient-statistic views: eligible global
   /// n,L,Q aggregates keep per-morsel partials registered across
@@ -148,9 +137,9 @@ struct QueryOptions {
 /// concurrently and serializes catalog-mutating ones (CREATE/INSERT/
 /// DROP, SpillTable) exclusively against everything else, like a
 /// database-level S/X lock. Concurrent SELECTs share the thread pool
-/// (sections queue), the bytecode cache, and the decoded-column cache
-/// (per-table fill lock) — results stay bit-identical to running the
-/// same statements one at a time. This is what the server front end
+/// (sections queue) and the bytecode cache, and read the tables'
+/// column chunks without touching shared state — results stay
+/// bit-identical to running the same statements one at a time. This is what the server front end
 /// (src/server) builds on; embedded single-threaded use pays one
 /// uncontended shared_mutex acquisition per statement.
 ///
@@ -248,10 +237,11 @@ class Database {
   /// Spills table `name` to compressed on-disk segments (one scratch
   /// file per partition under options().spill_directory, unlinked
   /// immediately) and re-points its scans at the database buffer pool.
-  /// The in-memory pages and the decoded-column cache are released;
-  /// subsequent scans stream chunks through the pool, bit-identical to
-  /// the resident table. The table becomes read-only: INSERT fails
-  /// with NotSupported until DROP/CREATE. Idempotent per partition.
+  /// The in-memory column chunks are released; subsequent scans stream
+  /// them through the pool, bit-identical to the resident table.
+  /// INSERT keeps working: new rows land in a resident tail chunk
+  /// behind the spilled ones. Idempotent per partition: a partition
+  /// spilled once keeps later appends resident.
   Status SpillTable(std::string_view name);
 
   /// The buffer pool backing spilled tables, or nullptr before the
@@ -295,9 +285,9 @@ class Database {
   /// The statement gate: SELECT/EXPLAIN hold it shared, catalog- or
   /// data-mutating statements (CREATE/INSERT/DROP, SpillTable) hold it
   /// exclusive. What makes shared mode safe is that every structure a
-  /// read-only statement touches is internally synchronized — pool
-  /// sections, bytecode cache, per-table column-cache fills, view
-  /// registry, live-query map, metrics.
+  /// read-only statement writes is internally synchronized — pool
+  /// sections, bytecode cache, view registry, live-query map, metrics
+  /// — and table data is only read.
   mutable std::shared_mutex statement_mu_;
 
   /// Lazily created by SpillTable. Declared before catalog_ so it is

@@ -5,7 +5,7 @@
 
 #include "common/failpoint.h"
 #include "engine/exec/gather_node.h"
-#include "storage/column_batch.h"
+#include "storage/column_vector.h"
 
 namespace nlq::engine::exec {
 namespace {

@@ -7,7 +7,7 @@
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "engine/expr.h"
-#include "storage/column_batch.h"
+#include "storage/column_vector.h"
 
 namespace nlq::engine::exec {
 

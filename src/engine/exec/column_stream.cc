@@ -1,6 +1,6 @@
 #include "engine/exec/column_stream.h"
 
-#include "storage/column_batch.h"
+#include "storage/column_vector.h"
 
 namespace nlq::engine::exec {
 

@@ -12,8 +12,8 @@ namespace nlq::engine::exec {
 
 /// A batch of typed column spans — the unit of the columnar pipeline
 /// (ColumnarScan → VectorFilter → VectorProject/VectorHashAggregate).
-/// Spans alias buffers owned by the producing stream (or the table's
-/// decoded-column cache) and stay valid until its next Next() call.
+/// Spans alias the table's column chunks or buffers owned by the
+/// producing stream and stay valid until its next Next() call.
 struct ColumnSpanBatch {
   size_t rows = 0;
   /// Per projected column: a dense value span of length `rows`.

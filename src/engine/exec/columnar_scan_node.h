@@ -7,11 +7,9 @@
 
 #include "common/query_context.h"
 #include "common/status.h"
-#include "common/threadpool.h"
 #include "engine/ast.h"
 #include "engine/exec/morsel.h"
 #include "engine/exec/plan.h"
-#include "storage/column_batch.h"
 #include "storage/partitioned_table.h"
 
 namespace nlq::engine::exec {
@@ -29,18 +27,25 @@ struct ColumnFilter {
   std::string text;             // display form for EXPLAIN
 };
 
-/// ANDs one pushed-down comparison into `keep`. Values are widened to
-/// double exactly like Datum::AsDouble, so the verdict matches the
-/// row-path interpreter bit for bit; NULL operands fail every
-/// comparison (UNKNOWN drops the row, as in FilterNode). Shared with
-/// the maintained-view refresh path, which must keep and drop exactly
-/// the rows the scan would.
-void ApplyColumnFilter(const ColumnFilter& f, const ColumnSpanBatch& in,
-                       uint8_t* keep);
+/// The span stream behind one ColumnarScan morsel: rows
+/// [begin_row, end_row) of `partition` walked by a ChunkCursor and
+/// served in batches of at most `batch_capacity` rows whose spans
+/// alias the chunk columns — resident chunks in place, spilled ones
+/// in the cursor's decoded image, no per-batch copy — with `filters`
+/// applied by order-preserving compaction. The maintained-view refresh
+/// drains the same stream over a partition's appended rows, so both
+/// hand their aggregates identical batches. `slots` and `filters` must
+/// outlive the stream.
+ColumnStreamPtr OpenColumnarScanStream(const storage::Table* partition,
+                                       uint64_t begin_row, uint64_t end_row,
+                                       const std::vector<size_t>& slots,
+                                       const std::vector<ColumnFilter>& filters,
+                                       size_t batch_capacity,
+                                       const QueryContext* ctx);
 
-/// Leaf of the columnar pipeline: scans a partitioned table's pages
-/// straight into typed column arrays (no Datum boxing) and applies
-/// pushed-down simple comparisons by span compaction. Driven through
+/// Leaf of the columnar pipeline: scans a partitioned table's column
+/// chunks as typed spans (no Datum boxing) and applies pushed-down
+/// simple comparisons by span compaction. Driven through
 /// OpenColumnStream by the columnar consumers (VectorFilter,
 /// VectorProject, VectorHashAggregate); the row-oriented OpenStream is
 /// deliberately unimplemented.
@@ -48,20 +53,13 @@ void ApplyColumnFilter(const ColumnFilter& f, const ColumnSpanBatch& in,
 /// Streams are morsels from the same grid ParallelScanNode uses (same
 /// `morsel_rows`), so the row and columnar paths have identical stream
 /// structure and their stream-order merges stay mutually
-/// byte-identical (see tests/columnar_equivalence_test.cc).
-///
-/// With `use_cache` the scan decodes each partition's columns once
-/// into the table's decoded-column cache and serves morsel-sized span
-/// slices of it on every subsequent scan (iterative model building
-/// re-scans the same table many times); the cache is invalidated by
-/// appends. Without it each stream decodes its row range through a
-/// ColumnBatchScanner.
+/// byte-identical (see tests/columnar_equivalence_test.cc). Opening a
+/// stream touches no shared state, so streams drain in parallel.
 class ColumnarScanNode : public PlanNode {
  public:
   ColumnarScanNode(const storage::PartitionedTable* table,
                    std::string table_name, std::vector<size_t> slots,
-                   std::vector<ColumnFilter> filters, bool use_cache,
-                   size_t batch_capacity,
+                   std::vector<ColumnFilter> filters, size_t batch_capacity,
                    uint64_t morsel_rows = kDefaultMorselRows,
                    const QueryContext* ctx = nullptr);
 
@@ -75,19 +73,6 @@ class ColumnarScanNode : public PlanNode {
 
   StatusOr<ColumnStreamPtr> OpenColumnStreamImpl(size_t s) const override;
 
-  /// Fills each partition's decoded-column cache, one partition per
-  /// pool task (Table::EnsureDecodedColumns is not safe against
-  /// concurrent fills of the SAME partition, which morsel streams
-  /// would otherwise do). No-op when the cache is disabled. Callers
-  /// draining column streams on a pool must call this first.
-  ///
-  /// When the query carries a memory budget, the bytes the fill would
-  /// add (not-yet-cached columns only) are estimated first; if they
-  /// do not fit, the cache is skipped for this statement and every
-  /// stream falls back to streaming page decode — the query still
-  /// succeeds, trading the re-scan speedup for bounded memory.
-  Status WarmCache(ThreadPool* pool) const;
-
   /// Schema slot indices of the projected columns, in span order.
   const std::vector<size_t>& slots() const { return slots_; }
   const storage::Schema& schema() const { return table_->schema(); }
@@ -97,17 +82,9 @@ class ColumnarScanNode : public PlanNode {
   std::string table_name_;
   std::vector<size_t> slots_;
   std::vector<ColumnFilter> filters_;
-  bool use_cache_;
   size_t batch_capacity_;
   uint64_t morsel_rows_;
   const QueryContext* ctx_;
-  /// Any partition spilled at plan time: the decoded-column cache is
-  /// never used (re-materializing a spilled table in RAM would undo
-  /// the spill); streams decode chunks through the buffer pool.
-  bool spilled_ = false;
-  /// Set by WarmCache when the fill would bust the query's memory
-  /// budget; streams opened afterwards decode in streaming mode.
-  mutable bool cache_suppressed_ = false;
   std::vector<Morsel> grid_;
 };
 

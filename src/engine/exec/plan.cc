@@ -151,22 +151,11 @@ std::string RenderAnalyzedPlan(const QueryStatsSnapshot& snapshot) {
     out += "]\n";
   }
   out += StringPrintf(
-      "Totals: rows=%llu pages_decoded=%llu cache(hits=%llu misses=%llu "
-      "fallbacks=%llu) time=",
+      "Totals: rows=%llu pages_decoded=%llu time=",
       static_cast<unsigned long long>(snapshot.rows_returned),
-      static_cast<unsigned long long>(snapshot.pages_decoded),
-      static_cast<unsigned long long>(snapshot.column_cache_hits),
-      static_cast<unsigned long long>(snapshot.column_cache_misses),
-      static_cast<unsigned long long>(snapshot.column_cache_fallbacks));
+      static_cast<unsigned long long>(snapshot.pages_decoded));
   AppendMillis(snapshot.wall_time_ns, &out);
   out += "\n";
-  // When the decoded-column cache fell back, say who hit the budget and
-  // why — the counters alone do not name the consumer.
-  if (!snapshot.column_cache_note.empty()) {
-    out += "cache=fallback (";
-    out += snapshot.column_cache_note;
-    out += ")\n";
-  }
   return out;
 }
 

@@ -122,8 +122,7 @@ std::string ExplainPlan(const PlanNode& root);
 /// actuals, then a statement-level totals footer:
 ///   Sort (1 key(s)) [rows=50 batches=1 time=0.412ms self=0.101ms]
 ///   └─ ...
-///   Totals: rows=50 pages_decoded=4 cache(hits=0 misses=0
-///   fallbacks=0) time=1.002ms
+///   Totals: rows=50 pages_decoded=4 time=1.002ms
 /// `time` is cumulative over the operator and everything below it,
 /// summed across parallel streams (it can exceed wall clock); `self`
 /// subtracts the child's cumulative time, clamped at zero.

@@ -406,15 +406,13 @@ VectorPipeline TryVectorProjection(const SelectStatement& select,
 }  // namespace
 
 Planner::Planner(storage::Catalog* catalog, const udf::UdfRegistry* registry,
-                 ThreadPool* pool, size_t batch_capacity,
-                 bool enable_column_cache, uint64_t morsel_rows,
+                 ThreadPool* pool, size_t batch_capacity, uint64_t morsel_rows,
                  const QueryContext* ctx, bool enable_expr_compile,
                  BytecodeCache* bytecode_cache, ViewRegistry* views)
     : catalog_(catalog),
       registry_(registry),
       pool_(pool),
       batch_capacity_(batch_capacity),
-      enable_column_cache_(enable_column_cache),
       morsel_rows_(morsel_rows),
       ctx_(ctx),
       enable_expr_compile_(enable_expr_compile),
@@ -524,19 +522,16 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
           }
         }
       }
-      auto scan = std::make_unique<ColumnarScanNode>(
+      PlanNodePtr chain = std::make_unique<ColumnarScanNode>(
           inputs.driver, select.from[0].table_name, std::move(vp.slots),
-          std::move(vp.scan_filters), enable_column_cache_, batch_capacity_,
-          morsel_rows_, ctx_);
-      const ColumnarScanNode* scan_ptr = scan.get();
-      PlanNodePtr chain = std::move(scan);
+          std::move(vp.scan_filters), batch_capacity_, morsel_rows_, ctx_);
       if (vp.where_prog != nullptr) {
         chain = std::make_unique<VectorFilterNode>(
             std::move(chain), std::move(vp.where_prog), vp.slot_to_col,
             std::move(vp.where_texts), ctx_);
       }
       auto vagg = std::make_unique<VectorHashAggregateNode>(
-          std::move(chain), scan_ptr, std::move(agg),
+          std::move(chain), std::move(agg),
           std::move(vp.key_progs), std::move(vp.spec_args),
           std::move(vp.slot_to_col), has_having,
           has_having ? select.having->ToString() : std::string(),
@@ -575,13 +570,10 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
     }
     if (vp.eligible) {
       // General columnar pipeline: projections (and non-pushable WHERE
-      // conjuncts) run compiled over span batches. The scan skips the
-      // decoded-column cache — Gather drains the streams in parallel
-      // and there is no safe single-threaded warm point here.
+      // conjuncts) run compiled over span batches.
       node = std::make_unique<ColumnarScanNode>(
           inputs.driver, select.from[0].table_name, std::move(vp.slots),
-          std::move(vp.scan_filters), /*use_cache=*/false, batch_capacity_,
-          morsel_rows_, ctx_);
+          std::move(vp.scan_filters), batch_capacity_, morsel_rows_, ctx_);
       if (vp.where_prog != nullptr) {
         node = std::make_unique<VectorFilterNode>(
             std::move(node), std::move(vp.where_prog), vp.slot_to_col,

@@ -76,7 +76,6 @@ class Planner {
   Planner(storage::Catalog* catalog, const udf::UdfRegistry* registry,
           ThreadPool* pool,
           size_t batch_capacity = RowBatch::kDefaultCapacity,
-          bool enable_column_cache = true,
           uint64_t morsel_rows = kDefaultMorselRows,
           const QueryContext* ctx = nullptr,
           bool enable_expr_compile = true,
@@ -90,7 +89,6 @@ class Planner {
   const udf::UdfRegistry* registry_;
   ThreadPool* pool_;
   size_t batch_capacity_;
-  bool enable_column_cache_;
   uint64_t morsel_rows_;
   const QueryContext* ctx_;
   bool enable_expr_compile_;

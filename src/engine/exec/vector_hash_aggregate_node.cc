@@ -97,13 +97,12 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
 }  // namespace
 
 VectorHashAggregateNode::VectorHashAggregateNode(
-    PlanNodePtr child, const ColumnarScanNode* scan, BoundAggregation agg,
+    PlanNodePtr child, BoundAggregation agg,
     std::vector<CompiledExprPtr> key_progs,
     std::vector<VectorAggSpec> spec_args, std::vector<int> slot_to_col,
     bool has_having, std::string having_text, size_t num_output,
     ThreadPool* pool, const QueryContext* ctx)
     : PlanNode(std::move(child)),
-      scan_(scan),
       agg_(std::move(agg)),
       key_progs_(std::move(key_progs)),
       spec_args_(std::move(spec_args)),
@@ -189,11 +188,6 @@ StatusOr<std::vector<Row>> VectorHashAggregateNode::Compute() const {
 }
 
 StatusOr<std::vector<Row>> VectorHashAggregateNode::Scan() const {
-  // Fill the decoded-column cache one partition per task BEFORE the
-  // morsel drain (Table::EnsureDecodedColumns is not safe against
-  // concurrent fills of the same partition).
-  NLQ_RETURN_IF_ERROR(scan_->WarmCache(pool_));
-
   // ROW phase: one hash table per columnar stream, drained in
   // parallel. On failure `partials` is destroyed whole — every partial
   // group state (and its UDF heap segments) is torn down with it.

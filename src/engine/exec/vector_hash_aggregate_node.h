@@ -8,7 +8,6 @@
 #include "common/threadpool.h"
 #include "engine/exec/aggregate_state.h"
 #include "engine/exec/bytecode.h"
-#include "engine/exec/columnar_scan_node.h"
 #include "engine/exec/plan.h"
 #include "engine/exec/view_registry.h"
 #include "engine/expr.h"
@@ -38,9 +37,8 @@ namespace nlq::engine::exec {
 class VectorHashAggregateNode : public PlanNode {
  public:
   /// `child` is the columnar chain (ColumnarScan, possibly under a
-  /// VectorFilter); `scan` points at its leaf for cache warming.
-  VectorHashAggregateNode(PlanNodePtr child, const ColumnarScanNode* scan,
-                          BoundAggregation agg,
+  /// VectorFilter).
+  VectorHashAggregateNode(PlanNodePtr child, BoundAggregation agg,
                           std::vector<CompiledExprPtr> key_progs,
                           std::vector<VectorAggSpec> spec_args,
                           std::vector<int> slot_to_col, bool has_having,
@@ -72,7 +70,6 @@ class VectorHashAggregateNode : public PlanNode {
   /// ROW + MERGE + FINALIZE over the node's own scan.
   StatusOr<std::vector<storage::Row>> Scan() const;
 
-  const ColumnarScanNode* scan_;
   BoundAggregation agg_;
   std::vector<CompiledExprPtr> key_progs_;
   std::vector<VectorAggSpec> spec_args_;

@@ -16,9 +16,9 @@ namespace nlq::engine::exec {
 /// the pipeline crosses back into the row world (its consumer is a
 /// Gather or the executor itself).
 ///
-/// A span batch can be much larger than a row batch (cached-mode scan
-/// morsels vs the executor's batch capacity), so one evaluated batch
-/// is served across several Next() calls.
+/// A span batch can be larger than the consumer's row batch (the scan
+/// and the executor size their batches independently), so one
+/// evaluated batch is served across several Next() calls.
 class VectorProjectNode : public PlanNode {
  public:
   VectorProjectNode(PlanNodePtr child, std::vector<CompiledExprPtr> programs,

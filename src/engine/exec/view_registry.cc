@@ -6,12 +6,10 @@
 
 #include "common/failpoint.h"
 #include "common/strings.h"
-#include "storage/column_batch.h"
 
 namespace nlq::engine::exec {
 namespace {
 
-using storage::ColumnVector;
 using storage::DataType;
 using storage::Datum;
 using storage::Row;
@@ -40,58 +38,24 @@ void AppendDatumKey(const Datum& v, std::string* out) {
   }
 }
 
-/// Accumulates rows [begin, end) of `part` into `state` through the
-/// exact batch semantics of the streaming columnar scan: spans pointed
-/// at the scanner's decoded columns, pushed-down filters ANDed into a
-/// keep mask, fully-filtered batches skipped entirely (AccumulateSpans
-/// is never called for them — matching ColumnarScanStream::Filter),
-/// surviving batches compacted order-preserving, then the aggregate
-/// node's own ROW phase. Identical code path shape ⇒ identical FP
-/// operation sequence ⇒ identical bits.
+/// Accumulates rows [begin, end) of `part` into `state` by draining the
+/// very span stream a ColumnarScan morsel uses (same batches, same
+/// filter compaction, fully-filtered batches skipped), feeding each
+/// batch to the aggregate node's own ROW phase. Identical batches ⇒
+/// identical FP operation sequence ⇒ identical bits.
 Status AccumulateRange(const storage::Table& part, const ViewDescriptor& d,
                        AggState* state, uint64_t begin, uint64_t end,
-                       const QueryContext* ctx, SpanScratch* scratch,
-                       std::vector<ScratchColumn>* compact,
-                       std::vector<uint8_t>* keep) {
+                       const QueryContext* ctx, SpanScratch* scratch) {
   NLQ_FAILPOINT("view_maintenance");
-  storage::ColumnBatchScanner scanner =
-      part.ScanColumnBatchRange(d.slots, begin, end, d.batch_capacity);
-  storage::ColumnBatch batch;
+  ColumnStreamPtr stream = OpenColumnarScanStream(
+      &part, begin, end, d.slots, d.filters, d.batch_capacity, ctx);
   ColumnSpanBatch span;
-  const size_t ncols = d.slots.size();
   for (;;) {
-    if (ctx != nullptr) NLQ_RETURN_IF_ERROR(ctx->CheckAlive());
-    const bool more = scanner.Next(&batch);
-    if (!scanner.status().ok()) return scanner.status();
-    if (!more) break;
-    span.rows = batch.size();
-    span.doubles.assign(ncols, nullptr);
-    span.ints.assign(ncols, nullptr);
-    span.null_bits.assign(ncols, nullptr);
-    for (size_t c = 0; c < ncols; ++c) {
-      const ColumnVector& col = batch.column(c);
-      if (col.type == DataType::kDouble) {
-        span.doubles[c] = col.double_data();
-      } else {
-        span.ints[c] = col.int_data();
-      }
-      if (col.has_nulls()) span.null_bits[c] = col.null_bits.data();
-    }
-    if (!d.filters.empty()) {
-      keep->assign(span.rows, 1);
-      for (const ColumnFilter& f : d.filters) {
-        ApplyColumnFilter(f, span, keep->data());
-      }
-      if (CompactColumnSpans(&span, keep->data(), compact) == 0) continue;
-    }
+    NLQ_ASSIGN_OR_RETURN(const bool more, stream->Next(&span));
+    if (!more) return Status::OK();
     NLQ_RETURN_IF_ERROR(AccumulateSpanBatch(*d.specs, *d.args, *d.slot_to_col,
                                             span, state, scratch));
   }
-  if (ctx != nullptr && ctx->stats() != nullptr) {
-    ctx->stats()->pages_decoded.fetch_add(scanner.pages_decoded(),
-                                          std::memory_order_relaxed);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -185,8 +149,6 @@ Status ViewRegistry::AccumulateDeltas(Entry* e, const ViewDescriptor& d,
     const uint64_t mr = d.morsel_rows;
     auto& plist = e->partials[p];
     SpanScratch scratch;
-    std::vector<ScratchColumn> compact(d.slots.size());
-    std::vector<uint8_t> keep;
     while (wm < cur) {
       // The morsel the watermark sits in: extend its partial from the
       // watermark to the morsel end (or table end). Morsel boundaries
@@ -203,8 +165,8 @@ Status ViewRegistry::AccumulateDeltas(Entry* e, const ViewDescriptor& d,
         NLQ_RETURN_IF_ERROR(
             InitAggState(*d.specs, &memory_, plist.back().get()));
       }
-      NLQ_RETURN_IF_ERROR(AccumulateRange(part, d, plist[mi].get(), wm, mend,
-                                          ctx, &scratch, &compact, &keep));
+      NLQ_RETURN_IF_ERROR(
+          AccumulateRange(part, d, plist[mi].get(), wm, mend, ctx, &scratch));
       wm = mend;
     }
     e->watermarks[p] = cur;

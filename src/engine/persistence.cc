@@ -37,6 +37,40 @@ StatusOr<storage::DataType> TypeFromName(std::string_view name) {
                             "' in manifest");
 }
 
+constexpr char kStagingSuffix[] = ".tmp";
+
+/// Writes every partition file and the manifest of `db` into
+/// `directory` under their final names plus kStagingSuffix, appending
+/// each final path to `staged` once its staged file exists.
+Status StageSnapshot(const Database& db, const std::string& directory,
+                     std::vector<std::string>* staged) {
+  std::ostringstream manifest;
+  for (const std::string& name : db.catalog().TableNames()) {
+    NLQ_ASSIGN_OR_RETURN(storage::PartitionedTable * table,
+                         db.catalog().GetTable(name));
+    manifest << name << '|' << table->num_partitions() << '|'
+             << SerializeSchema(table->schema()) << '\n';
+    for (size_t p = 0; p < table->num_partitions(); ++p) {
+      const std::string path = PartitionPath(directory, name, p);
+      NLQ_RETURN_IF_ERROR(
+          table->partition(p).SaveToFile(path + kStagingSuffix));
+      staged->push_back(path);
+    }
+  }
+  const std::string path = directory + "/manifest.txt";
+  staged->push_back(path);
+  std::ofstream out(path + kStagingSuffix, std::ios::trunc);
+  if (!out) {
+    return Status::IOError("cannot write manifest in '" + directory + "'");
+  }
+  out << manifest.str();
+  out.close();
+  if (!out) {
+    return Status::IOError("short write to manifest in '" + directory + "'");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string SerializeSchema(const storage::Schema& schema) {
@@ -71,25 +105,23 @@ StatusOr<storage::Schema> DeserializeSchema(std::string_view text) {
 
 Status SaveDatabase(const Database& db, const std::string& directory) {
   NLQ_RETURN_IF_ERROR(EnsureDirectory(directory));
-  std::ostringstream manifest;
-  for (const std::string& name : db.catalog().TableNames()) {
-    NLQ_ASSIGN_OR_RETURN(storage::PartitionedTable * table,
-                         db.catalog().GetTable(name));
-    manifest << name << '|' << table->num_partitions() << '|'
-             << SerializeSchema(table->schema()) << '\n';
-    for (size_t p = 0; p < table->num_partitions(); ++p) {
-      NLQ_RETURN_IF_ERROR(
-          table->partition(p).SaveToFile(PartitionPath(directory, name, p)));
+  // Every file is written under a staging name and renamed into place
+  // only once all of them were written, so a save that fails (an
+  // unreadable spilled chunk, a row too large for a page, a full disk)
+  // leaves the previous snapshot whole.
+  std::vector<std::string> staged;
+  const Status status = StageSnapshot(db, directory, &staged);
+  if (!status.ok()) {
+    for (const std::string& path : staged) {
+      std::remove((path + kStagingSuffix).c_str());
     }
+    return status;
   }
-  std::ofstream out(directory + "/manifest.txt", std::ios::trunc);
-  if (!out) {
-    return Status::IOError("cannot write manifest in '" + directory + "'");
-  }
-  out << manifest.str();
-  out.close();
-  if (!out) {
-    return Status::IOError("short write to manifest in '" + directory + "'");
+  for (const std::string& path : staged) {
+    if (std::rename((path + kStagingSuffix).c_str(), path.c_str()) != 0) {
+      return Status::IOError("cannot rename snapshot file into '" + path +
+                             "': " + std::strerror(errno));
+    }
   }
   return Status::OK();
 }

@@ -11,7 +11,9 @@ namespace nlq::engine {
 /// Persists every table of `db` under `directory` (created if
 /// missing): a `manifest.txt` describing names, partition counts and
 /// schemas, plus one page file per partition written through
-/// storage::DiskManager. Overwrites a previous snapshot in place.
+/// storage::DiskManager. The files of a previous snapshot are replaced
+/// only once every new file is written, so a failed save leaves that
+/// snapshot whole.
 Status SaveDatabase(const Database& db, const std::string& directory);
 
 /// Loads a snapshot produced by SaveDatabase into `db`. Tables that

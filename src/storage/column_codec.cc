@@ -367,7 +367,8 @@ Status DecodeColumnBlock(const char* data, size_t size, size_t* pos,
       if (payload_bytes != rows * 8) {
         return CorruptionAt("plain payload size mismatch");
       }
-      std::memcpy(dst, payload, payload_bytes);
+      // A 0-row column has no value array (dst may be null).
+      if (rows > 0) std::memcpy(dst, payload, payload_bytes);
       break;
     }
     case ColumnCodec::kRle: {

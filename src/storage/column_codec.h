@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "storage/column_batch.h"
+#include "storage/column_vector.h"
 #include "storage/value.h"
 
 namespace nlq::storage {
@@ -19,9 +19,9 @@ namespace nlq::storage {
 /// travel as their 8-byte little-endian bit patterns — doubles are
 /// never re-parsed or re-rounded — so encode→decode is bit-exact for
 /// every input including NaN, ±0.0 and denormals. NULL positions hold
-/// the decoder's canonical 0/0.0 in the value array (the same
-/// convention ColumnDecoder uses), so a round-trip through a codec
-/// reproduces the exact ColumnVector a page decode would have built.
+/// the canonical 0/0.0 in the value array (the same convention
+/// ColumnVector::Append uses), so a round-trip through a codec
+/// reproduces the exact resident chunk column.
 ///
 /// Codec is chosen per block at encode time by sampling the values
 /// (EncodeColumnBlock); kPlain is the always-correct escape hatch and

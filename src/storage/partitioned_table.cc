@@ -31,13 +31,7 @@ size_t PartitionedTable::RouteRow(const Row& row) const {
 }
 
 Status PartitionedTable::AppendRow(const Row& row) {
-  NLQ_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  Table* part = partitions_[RouteRow(row)].get();
-  if (part->is_spilled()) {
-    return Status::NotSupported("table is spilled and read-only");
-  }
-  part->AppendRowUnchecked(row);
-  return Status::OK();
+  return partitions_[RouteRow(row)]->AppendRow(row);
 }
 
 void PartitionedTable::AppendRowUnchecked(const Row& row) {
@@ -55,11 +49,11 @@ StatusOr<std::vector<Row>> PartitionedTable::ReadAllRows() const {
 }
 
 Status PartitionedTable::SpillToDisk(const std::string& path_prefix,
-                                     BufferPool* pool, size_t chunk_rows) {
+                                     BufferPool* pool) {
   for (size_t p = 0; p < partitions_.size(); ++p) {
     if (partitions_[p]->is_spilled()) continue;
     NLQ_RETURN_IF_ERROR(partitions_[p]->SpillToDisk(
-        path_prefix + ".p" + std::to_string(p), pool, chunk_rows));
+        path_prefix + ".p" + std::to_string(p), pool));
   }
   return Status::OK();
 }

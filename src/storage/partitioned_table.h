@@ -47,33 +47,10 @@ class PartitionedTable {
     return partitions_[p]->ScanBatchRange(begin_row, end_row);
   }
 
-  /// Opens a columnar cursor over partition `p` restricted to
-  /// `columns` (schema slot indices of DOUBLE/BIGINT columns).
-  ColumnBatchScanner ScanPartitionColumnBatches(
-      size_t p, std::vector<size_t> columns,
-      size_t batch_capacity = ColumnBatch::kDefaultCapacity) const {
-    return partitions_[p]->ScanColumnBatch(std::move(columns), batch_capacity);
-  }
-
-  /// Columnar counterpart of the morsel-range row cursor.
-  ColumnBatchScanner ScanPartitionColumnBatches(
-      size_t p, std::vector<size_t> columns, uint64_t begin_row,
-      uint64_t end_row,
-      size_t batch_capacity = ColumnBatch::kDefaultCapacity) const {
-    return partitions_[p]->ScanColumnBatchRange(std::move(columns), begin_row,
-                                                end_row, batch_capacity);
-  }
-
   /// Appends to an explicit partition, bypassing hash routing — for
   /// tests and benchmarks that need a controlled (e.g. skewed) layout.
   Status AppendRowToPartition(size_t p, const Row& row) {
-    NLQ_RETURN_IF_ERROR(schema_.ValidateRow(row));
-    if (partitions_[p]->is_spilled()) {
-      return Status::NotSupported(
-          "cannot append: partition is spilled to disk and read-only");
-    }
-    partitions_[p]->AppendRowUnchecked(row);
-    return Status::OK();
+    return partitions_[p]->AppendRow(row);
   }
 
   /// Materializes all rows across partitions (partition order, then
@@ -83,10 +60,10 @@ class PartitionedTable {
   /// Spills every partition to compressed on-disk segments under
   /// `path_prefix` (one scratch file per partition, suffixed ".pN"),
   /// read back through `pool`. See Table::SpillToDisk for semantics;
-  /// fails partway leaves already-spilled partitions spilled — scans
-  /// stay correct either way.
-  Status SpillToDisk(const std::string& path_prefix, BufferPool* pool,
-                     size_t chunk_rows = SpillSegment::kDefaultChunkRows);
+  /// already-spilled partitions are skipped, so re-spilling is a
+  /// no-op, and a failure partway leaves earlier partitions spilled —
+  /// scans stay correct either way.
+  Status SpillToDisk(const std::string& path_prefix, BufferPool* pool);
 
   /// True if every partition is spilled (false for an empty table with
   /// no spill call yet).

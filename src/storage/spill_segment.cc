@@ -29,13 +29,9 @@ uint32_t ReadU32(const char* p) {
 }  // namespace
 
 StatusOr<std::unique_ptr<SpillSegment>> SpillSegment::Create(
-    const Table& table, const std::string& path, BufferPool* pool,
-    size_t chunk_rows) {
+    const Table& table, const std::string& path, BufferPool* pool) {
   if (pool == nullptr) {
     return Status::InvalidArgument("SpillSegment requires a buffer pool");
-  }
-  if (chunk_rows == 0) {
-    return Status::InvalidArgument("spill chunk_rows must be positive");
   }
   const Schema& schema = table.schema();
   std::vector<size_t> all_columns;
@@ -60,61 +56,25 @@ StatusOr<std::unique_ptr<SpillSegment>> SpillSegment::Create(
 
   seg->num_rows_ = table.num_rows();
   seg->num_columns_ = all_columns.size();
-  seg->chunk_rows_ = chunk_rows;
 
-  // Per-chunk accumulators: a range scan may split a chunk across
-  // several batches, so values are gathered here before encoding.
-  std::vector<ColumnVector> acc(all_columns.size());
+  // A resident table's chunks start at row 0 and hold kChunkRows rows
+  // each but the tail, so every cursor window is one whole chunk whose
+  // columns encode as they are.
+  ChunkCursor cursor(&table, all_columns, 0, table.num_rows());
   std::string blob;
   Page io_page;
   uint64_t next_page = 0;
-
-  for (uint64_t first = 0; first < seg->num_rows_; first += chunk_rows) {
-    const size_t rows = static_cast<size_t>(
-        std::min<uint64_t>(chunk_rows, seg->num_rows_ - first));
-    for (size_t c = 0; c < acc.size(); ++c) {
-      acc[c].Reset(schema.column(all_columns[c]).type, rows);
-    }
-
-    ColumnBatchScanner scanner = table.ScanColumnBatchRange(
-        all_columns, first, first + rows,
-        std::min<size_t>(rows, ColumnBatch::kDefaultCapacity));
-    ColumnBatch batch;
-    size_t filled = 0;
-    while (filled < rows && scanner.Next(&batch)) {
-      for (size_t c = 0; c < acc.size(); ++c) {
-        const ColumnVector& src = batch.column(c);
-        ColumnVector& dst = acc[c];
-        if (src.type == DataType::kDouble) {
-          std::memcpy(dst.doubles.data() + filled, src.doubles.data(),
-                      batch.size() * sizeof(double));
-        } else {
-          std::memcpy(dst.ints.data() + filled, src.ints.data(),
-                      batch.size() * sizeof(int64_t));
-        }
-        if (src.has_nulls()) {
-          for (size_t r = 0; r < batch.size(); ++r) {
-            if (NullBitGet(src.null_bits.data(), r)) {
-              NullBitSet(dst.null_bits.data(), filled + r);
-              dst.null_count++;
-            }
-          }
-        }
-      }
-      filled += batch.size();
-    }
-    NLQ_RETURN_IF_ERROR(scanner.status());
-    if (filled != rows) {
-      return Status::Internal("spill scan produced " + std::to_string(filled) +
-                              " rows, expected " + std::to_string(rows));
-    }
-
+  uint64_t first = 0;
+  while (cursor.Next(kChunkRows)) {
+    const size_t rows = cursor.rows();
     blob.clear();
     AppendU32(&blob, kChunkMagic);
     AppendU32(&blob, static_cast<uint32_t>(rows));
-    AppendU32(&blob, static_cast<uint32_t>(acc.size()));
+    AppendU32(&blob, static_cast<uint32_t>(all_columns.size()));
     AppendU32(&blob, 0);
-    for (ColumnVector& col : acc) EncodeColumnBlock(col, rows, &blob);
+    for (size_t c = 0; c < all_columns.size(); ++c) {
+      EncodeColumnBlock(cursor.column(c), rows, &blob);
+    }
 
     SpillChunkInfo info;
     info.first_row = first;
@@ -129,9 +89,11 @@ StatusOr<std::unique_ptr<SpillSegment>> SpillSegment::Create(
       NLQ_RETURN_IF_ERROR(seg->disk_->WritePage(next_page + p, io_page));
     }
     next_page += info.pages;
+    first += rows;
     seg->compressed_bytes_ += info.bytes;
     seg->chunks_.push_back(info);
   }
+  NLQ_RETURN_IF_ERROR(cursor.status());
 
   seg->pool_ = pool;
   seg->file_id_ = pool->RegisterFile(seg->disk_.get());

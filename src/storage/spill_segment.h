@@ -8,7 +8,7 @@
 
 #include "common/status.h"
 #include "storage/buffer_pool.h"
-#include "storage/column_batch.h"
+#include "storage/column_vector.h"
 #include "storage/disk_manager.h"
 #include "storage/schema.h"
 
@@ -33,8 +33,8 @@ struct SpillChunkInfo {
 /// On-disk columnar image of one table partition, read back through a
 /// BufferPool — the larger-than-RAM half of the storage engine.
 ///
-/// Created by Table::SpillToDisk: the row pages are scanned chunk by
-/// chunk (kDefaultChunkRows rows each), every column of a chunk is
+/// Created by Table::SpillToDisk: every kChunkRows-row column chunk of
+/// the partition keeps its row range, each of its columns is
 /// compressed into a column block, and the blobs land page-aligned in
 /// a scratch file that is unlinked as soon as it is open (the fd keeps
 /// it alive, so crashes never leak spill files). The chunk directory
@@ -47,17 +47,14 @@ struct SpillChunkInfo {
 /// worker is therefore one frame, whatever the chunk size.
 ///
 /// VARCHAR schemas are not spillable (columnar codecs cover
-/// fixed-width types only); Table::SpillToDisk rejects them upfront.
+/// fixed-width types only); Create rejects them upfront.
 class SpillSegment {
  public:
-  static constexpr size_t kDefaultChunkRows = 4096;
-
-  /// Encodes every column of `table` into `path` and registers the
-  /// file with `pool`. The table must be row-resident (not yet
+  /// Encodes every chunk of `table` into `path` and registers the
+  /// file with `pool`. The table must be fully resident (not yet
   /// spilled) and hold only DOUBLE/BIGINT columns.
   static StatusOr<std::unique_ptr<SpillSegment>> Create(
-      const Table& table, const std::string& path, BufferPool* pool,
-      size_t chunk_rows = kDefaultChunkRows);
+      const Table& table, const std::string& path, BufferPool* pool);
 
   ~SpillSegment();
 
@@ -66,12 +63,11 @@ class SpillSegment {
 
   uint64_t num_rows() const { return num_rows_; }
   size_t num_chunks() const { return chunks_.size(); }
-  size_t chunk_rows() const { return chunk_rows_; }
   const SpillChunkInfo& chunk(size_t i) const { return chunks_[i]; }
   size_t num_columns() const { return num_columns_; }
 
   /// Chunk index holding table row `row`.
-  size_t ChunkOfRow(uint64_t row) const { return row / chunk_rows_; }
+  size_t ChunkOfRow(uint64_t row) const { return row / kChunkRows; }
 
   /// Encoded blob bytes across all chunks (before page padding).
   uint64_t compressed_bytes() const { return compressed_bytes_; }
@@ -99,7 +95,6 @@ class SpillSegment {
   uint32_t file_id_ = 0;
   uint64_t num_rows_ = 0;
   size_t num_columns_ = 0;
-  size_t chunk_rows_ = kDefaultChunkRows;
   uint64_t compressed_bytes_ = 0;
   std::vector<SpillChunkInfo> chunks_;
 };

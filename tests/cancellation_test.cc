@@ -163,10 +163,10 @@ TEST_F(CancellationTest, UdafHeapChargedAgainstBudget) {
 }
 
 TEST_F(CancellationTest, ColumnCacheFallsBackToStreamingUnderBudget) {
-  // kRows doubles are ~32 KB of decoded column per dimension: a 16 KB
-  // budget cannot admit the cache fill, but the scan falls back to
-  // streaming decode instead of failing — and the answer matches the
-  // unlimited run exactly.
+  // kRows doubles are ~32 KB of column per dimension, twice the 16 KB
+  // budget: the columnar scan reads the chunks in place and charges
+  // nothing for them, so the statement succeeds — and the answer
+  // matches the unlimited run exactly.
   auto unlimited = db_->QueryDouble("SELECT SUM(X1) FROM X");
   ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
 

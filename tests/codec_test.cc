@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "storage/column_batch.h"
+#include "storage/column_vector.h"
 #include "storage/column_codec.h"
 #include "tests/test_util.h"
 

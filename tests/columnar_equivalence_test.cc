@@ -136,12 +136,12 @@ TEST(ColumnarEquivalenceTest, BitIdenticalAcrossPartitionsSizesAndKinds) {
         const std::string sql = StringPrintf(
             "SELECT nlq_list('%s', x1, x2, x3, x4) FROM X", kind);
         const std::string first = AssertPathsAgree(db.get(), sql);
-        // Second columnar run serves spans from the decoded-column
-        // cache; it must not change a single bit.
+        // A second columnar run reads the same chunks again; it must
+        // not change a single bit.
         auto again = db->Execute(sql);
         NLQ_ASSERT_OK(again.status());
         EXPECT_EQ(ExactSignature(*again), first)
-            << "cached rescan diverged: " << sql << " (partitions=" << parts
+            << "rescan diverged: " << sql << " (partitions=" << parts
             << ", n=" << n << ")";
       }
     }
@@ -247,7 +247,8 @@ TEST(ColumnarEquivalenceTest, ColumnCacheInvalidatedByAppend) {
   FillTable(db.get(), 100, 4);
   const std::string sql = "SELECT nlq_list('full', x1, x2) FROM X";
   const std::string before = AssertPathsAgree(db.get(), sql);
-  // Append after the cache is warm; the rescan must see the new row.
+  // Append into the open tail chunk after a scan; the rescan must see
+  // the new row.
   NLQ_ASSERT_OK(
       db->ExecuteCommand("INSERT INTO X VALUES (500, 9.5, -3.25, 0, 0)"));
   const std::string after = AssertPathsAgree(db.get(), sql);
@@ -294,19 +295,6 @@ TEST(ColumnarEquivalenceTest, PlannerChoosesColumnarOnlyWhenEligible) {
     EXPECT_EQ(plan.find("Columnar"), std::string::npos) << sql << "\n" << plan;
     EXPECT_EQ(plan.find("Vector"), std::string::npos) << sql << "\n" << plan;
   }
-}
-
-TEST(ColumnarEquivalenceTest, CacheDisabledStillMatches) {
-  engine::DatabaseOptions options;
-  options.num_partitions = 3;
-  options.enable_column_cache = false;
-  auto db = std::make_unique<engine::Database>(options);
-  NLQ_ASSERT_OK(stats::RegisterAllStatsUdfs(&db->udfs()));
-  FillTable(db.get(), 300, 4);
-  const std::string sql = "SELECT nlq_list('triang', x1, x2, x3, x4) FROM X";
-  NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(sql));
-  EXPECT_NE(plan.find("cache off"), std::string::npos) << plan;
-  AssertPathsAgree(db.get(), sql);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -130,10 +131,11 @@ struct TableConfig {
   uint64_t seed;
 };
 
-// Row counts straddle the 1024-row decode batch; morsel sizes split
-// partitions into several streams (the pre-existing equivalence tests
-// only ever ran one morsel per partition); partition counts include
-// layouts that divide the rows unevenly.
+// Row counts straddle the 1024-row scan batch and the 4096-row column
+// chunk; morsel sizes split partitions into several streams (the
+// pre-existing equivalence tests only ever ran one morsel per
+// partition); partition counts include layouts that divide the rows
+// unevenly.
 const TableConfig kConfigs[] = {
     // Four-path cases: dimensions stay NULL-free.
     {1, 0, 2, MatrixKind::kLowerTriangular, 16384, 0, false, 101},
@@ -162,6 +164,11 @@ const TableConfig kConfigs[] = {
     {7, 777, 1, MatrixKind::kLowerTriangular, 128, 50, true, 206},
     {8, 1200, 2, MatrixKind::kDiagonal, 16384, 5, true, 207},
     {3, 7, 4, MatrixKind::kLowerTriangular, 64, 80, true, 208},
+    // Chunk-boundary cases: partitions straddle the 4096-row column
+    // chunk and the morsel sizes do not divide it, so morsels start
+    // mid-chunk and cross chunk boundaries.
+    {1, 4097, 2, MatrixKind::kLowerTriangular, 1000, 0, false, 117},
+    {2, 16600, 3, MatrixKind::kFull, 5000, 10, true, 209},
 };
 
 const char* KindName(MatrixKind kind) {
@@ -184,6 +191,9 @@ double NextCell(Random* rng) {
       static_cast<int64_t>(rng->NextUint64(1u << 16)) - (1 << 15);
   return static_cast<double>(k) / 256.0;
 }
+
+/// Rows per INSERT statement (the last one takes the remainder).
+constexpr size_t kInsertBatchRows = 128;
 
 /// Builds the batched INSERT statements for `cfg` — regenerated
 /// identically for every thread-count variant so all databases hold
@@ -208,7 +218,7 @@ std::vector<std::string> BuildInserts(const TableConfig& cfg) {
       }
     }
     insert += ")";
-    if ((r + 1) % 128 == 0 || r + 1 == cfg.rows) {
+    if ((r + 1) % kInsertBatchRows == 0 || r + 1 == cfg.rows) {
       statements.push_back(insert);
       insert.clear();
     } else {
@@ -219,12 +229,17 @@ std::vector<std::string> BuildInserts(const TableConfig& cfg) {
 }
 
 /// NLQ_TEST_SPILL=1 (the CI spill-smoke job) runs the entire suite
-/// against spilled tables behind a minimum-size buffer pool: every
-/// query streams compressed chunks through eviction + readahead, and
-/// the suite's cross-path bit-equality checks double as the
-/// spilled-vs-resident differential — the oracle reads the same
-/// spilled table through BatchScanner, so a single flipped bit
-/// anywhere in the codec/pool/readahead stack fails the run.
+/// against tables spilled halfway through their load, behind a
+/// minimum-size buffer pool: the first ceil(half) of the INSERT
+/// batches lands in compressed spilled chunks, the rest in the
+/// resident tail behind them, so every query streams chunks through
+/// eviction + readahead and, on a table of more than one batch, then
+/// reads resident ones — often within one morsel.
+/// The suite's cross-path bit-equality checks double as the
+/// mixed-residency differential: the oracle reads the same table
+/// through BatchScanner, so a single flipped bit anywhere in the
+/// codec/pool/readahead stack or the spilled/resident seam fails the
+/// run.
 bool SpillSmoke() {
   const char* v = std::getenv("NLQ_TEST_SPILL");
   return v != nullptr && v[0] == '1';
@@ -251,10 +266,31 @@ void CreateAndFill(Database* db, const TableConfig& cfg,
   }
   create += ", PAD DOUBLE)";
   NLQ_ASSERT_OK(db->ExecuteCommand(create));
-  for (const std::string& insert : inserts) {
-    NLQ_ASSERT_OK(db->ExecuteCommand(insert));
+  if (!SpillSmoke()) {
+    for (const std::string& insert : inserts) {
+      NLQ_ASSERT_OK(db->ExecuteCommand(insert));
+    }
+    return;
   }
-  if (SpillSmoke()) NLQ_ASSERT_OK(db->SpillTable("T"));
+  // The first ceil(half) of the batches are spilled, the rest append to
+  // the resident tail; a one-batch table spills whole, and a table with
+  // no batches still spills (empty segments).
+  const size_t spilled_batches = (inserts.size() + 1) / 2;
+  for (size_t b = 0; b < spilled_batches; ++b) {
+    NLQ_ASSERT_OK(db->ExecuteCommand(inserts[b]));
+  }
+  NLQ_ASSERT_OK(db->SpillTable("T"));
+  for (size_t b = spilled_batches; b < inserts.size(); ++b) {
+    NLQ_ASSERT_OK(db->ExecuteCommand(inserts[b]));
+  }
+  auto table = db->catalog().GetTable("T");
+  NLQ_ASSERT_OK(table.status());
+  uint64_t spilled_rows = 0;
+  for (size_t p = 0; p < (*table)->num_partitions(); ++p) {
+    spilled_rows += (*table)->partition(p).spill()->num_rows();
+  }
+  EXPECT_EQ(spilled_rows,
+            std::min<uint64_t>(cfg.rows, spilled_batches * kInsertBatchRows));
 }
 
 std::unique_ptr<Database> MakeDiffDatabase(const TableConfig& cfg,

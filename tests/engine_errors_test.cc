@@ -71,7 +71,7 @@ class FailingUdaf : public udf::AggregateUdf {
   }
   DataType return_type() const override { return DataType::kDouble; }
   StatusOr<void*> Init(udf::HeapSegment* heap) const override {
-    return heap->Allocate(8);
+    return heap->AllocateObject<int64_t>();  // zeroed row count
   }
   Status Accumulate(void* state,
                     const std::vector<Datum>& args) const override {

@@ -108,7 +108,7 @@ class ExplainAnalyzeTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 
 // Every count below is deterministic: 50 rows over 4 partitions give
-// one decode batch (and one page) per morsel stream; the Gather
+// one batch (and one column chunk) per morsel stream; the Gather
 // pipeline-breaker drains its inputs fully before Limit cuts the
 // output to 5, so the under-count appears at the Limit node only. The
 // statement runs the compiled columnar pipeline: the simple comparison
@@ -120,10 +120,9 @@ constexpr const char* kGolden =
     "   └─ VectorProject (1 column(s); compiled, 1 op(s)) [rows=50 batches=4 "
     "time=<T> self=<T>]\n"
     "      └─ ColumnarScan (X: 50 rows, 4 partitions, 1 of 3 column(s), "
-    "batch 1024, morsel 16384 (4 morsel(s)), cache off, filter: (X1 > 0)) "
+    "batch 1024, morsel 16384 (4 morsel(s)), filter: (X1 > 0)) "
     "[rows=50 batches=4 time=<T> self=<T>]\n"
-    "Totals: rows=5 pages_decoded=4 cache(hits=0 misses=0 fallbacks=0) "
-    "time=<T>\n";
+    "Totals: rows=5 pages_decoded=4 time=<T>\n";
 
 constexpr const char* kAnalyzedQuery =
     "SELECT X1 FROM X WHERE X1 > 0 LIMIT 5";
@@ -181,7 +180,7 @@ TEST_F(ExplainAnalyzeTest, ScanActualsAreExact) {
   ASSERT_NE(gather, nullptr);
   EXPECT_EQ(gather->rows_out, 50u);
   EXPECT_EQ(stats.rows_returned, 50u);
-  EXPECT_EQ(stats.pages_decoded, 4u);  // one page per partition
+  EXPECT_EQ(stats.pages_decoded, 4u);  // one block per partition
   // Every morsel was claimed by exactly one worker.
   uint64_t claims = 0;
   for (const uint64_t c : stats.worker_morsel_claims) claims += c;
@@ -258,20 +257,19 @@ TEST_F(ExplainAnalyzeTest, LimitEarlyExitUnderCounts) {
   EXPECT_LT(limit->rows_out, gather->rows_out);
 }
 
-TEST_F(ExplainAnalyzeTest, ColumnarCacheCountersTrackWarmth) {
+TEST_F(ExplainAnalyzeTest, ColumnarScanReadsItsChunksOnEveryRun) {
+  // No state survives a statement: every run reads each partition's
+  // one chunk again (two columns of a few rows: one block each), so
+  // the block count repeats exactly.
   const char* kSql = "SELECT nlq_list('triang', X1, X2) FROM X";
   NLQ_ASSERT_OK(db_->Execute(kSql).status());
   ASSERT_TRUE(db_->last_query_stats().has_value());
-  const QueryStatsSnapshot cold = *db_->last_query_stats();
-  EXPECT_GT(cold.pages_decoded, 0u);
-  EXPECT_GT(cold.column_cache_misses, 0u);
-  EXPECT_EQ(cold.column_cache_hits, 0u);
+  const QueryStatsSnapshot first = *db_->last_query_stats();
+  EXPECT_EQ(first.pages_decoded, 4u);
 
   NLQ_ASSERT_OK(db_->Execute(kSql).status());
-  const QueryStatsSnapshot warm = *db_->last_query_stats();
-  EXPECT_EQ(warm.column_cache_hits, cold.column_cache_misses);
-  EXPECT_EQ(warm.column_cache_misses, 0u);
-  EXPECT_EQ(warm.pages_decoded, 0u);  // served entirely from the cache
+  const QueryStatsSnapshot again = *db_->last_query_stats();
+  EXPECT_EQ(again.pages_decoded, first.pages_decoded);
 
   // The analyzed rendering of the columnar plan carries the actuals.
   NLQ_ASSERT_OK_AND_ASSIGN(std::string rendered, db_->ExplainAnalyze(kSql));

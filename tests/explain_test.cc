@@ -41,15 +41,13 @@ class ExplainTest : public ::testing::Test {
 };
 
 TEST_F(ExplainTest, SimpleScanIsFullTree) {
-  // A bare column projection compiles and runs the columnar pipeline
-  // (the scan skips the decoded-column cache: Gather drains streams in
-  // parallel, so there is no single-threaded warm point).
+  // A bare column projection compiles and runs the columnar pipeline.
   const std::string plan = Plan("SELECT X1 FROM X");
   EXPECT_EQ(plan,
             "Gather (4 stream(s), 4 worker(s))\n"
             "└─ VectorProject (1 column(s); compiled, 1 op(s))\n"
             "   └─ ColumnarScan (X: 50 rows, 4 partitions, 1 of 3 "
-            "column(s), batch 1024, morsel 16384 (4 morsel(s)), cache off)\n");
+            "column(s), batch 1024, morsel 16384 (4 morsel(s)))\n");
 }
 
 TEST_F(ExplainTest, ForceInterpretedPlansTheRowPath) {

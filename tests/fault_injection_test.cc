@@ -216,6 +216,9 @@ TEST_F(FaultInjectionTest, DiskIoFaultFailsSaveAndLoad) {
   failpoint::Activate("disk_io", Status::IOError("injected disk fault"));
   EXPECT_EQ(table.SaveToFile(path).code(), StatusCode::kIOError);
   failpoint::Deactivate("disk_io");
+  // The failed save left no partial file to load as a shorter table.
+  EXPECT_EQ(Table(Schema::DataSet(1)).LoadFromFile(path).code(),
+            StatusCode::kNotFound);
   NLQ_ASSERT_OK(table.SaveToFile(path));
 
   Table loaded(Schema::DataSet(1));
@@ -430,9 +433,9 @@ TEST_F(FaultInjectionTest, ViewRefreshFaultDegradesToTheNodesOwnScan) {
 }
 
 TEST_F(FaultInjectionTest, ColumnCacheFillFaultSurfaces) {
-  // Columnar aggregates warm the decoded-column cache through
-  // EnsureDecodedColumns — the page_decode site covers that path too.
-  failpoint::Activate("page_decode", Status::IOError("injected cache fault"));
+  // Columnar aggregates read resident chunks through the same
+  // ChunkCursor load — the page_decode site covers that path too.
+  failpoint::Activate("page_decode", Status::IOError("injected chunk fault"));
   auto result = db_->Execute("SELECT SUM(X1) FROM X");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIOError);

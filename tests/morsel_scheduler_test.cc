@@ -92,18 +92,19 @@ TEST(MorselGridTest, ZeroMorselRowsIsPartitionGranular) {
 // ---------------------------------------------------------------------------
 
 TEST(MorselRangeScanTest, RowAndColumnRangesTileTheTable) {
-  // A VARCHAR column forces the seek to size-step variable-width rows.
+  // A VARCHAR column rides along in its string lane for the row path.
   storage::Table table(Schema{{{"i", DataType::kInt64},
                                {"s", DataType::kVarchar},
                                {"x", DataType::kDouble}}});
-  const size_t kRows = 3000;  // spans multiple pages
+  const size_t kRows = 9000;  // spans three column chunks
   for (size_t r = 0; r < kRows; ++r) {
     NLQ_ASSERT_OK(table.AppendRow(
         {Datum::Int64(static_cast<int64_t>(r)),
          Datum::Varchar(std::string(r % 17, 'x')),
          Datum::Double(static_cast<double>(r) * 0.25)}));
   }
-  // Odd-sized, misaligned morsels exercise mid-page seeks.
+  // Odd-sized, misaligned morsels start mid-chunk and cross chunk
+  // boundaries.
   for (const uint64_t morsel : {1ull, 7ull, 64ull, 1000ull, 5000ull}) {
     int64_t sum_i = 0;
     double sum_x = 0.0;
@@ -124,18 +125,17 @@ TEST(MorselRangeScanTest, RowAndColumnRangesTileTheTable) {
       }
       NLQ_ASSERT_OK(scanner.status());
       ASSERT_EQ(expect_i, end) << "begin=" << begin << " morsel=" << morsel;
-      // Columnar path over the same range.
-      storage::ColumnBatchScanner cscan =
-          table.ScanColumnBatchRange({0, 2}, begin, end, 256);
-      storage::ColumnBatch cbatch;
+      // Chunk cursor over the same range (the columnar readers' view),
+      // in windows smaller than a chunk.
+      storage::ChunkCursor cursor(&table, {0, 2}, begin, end);
       uint64_t crows = 0;
-      while (cscan.Next(&cbatch)) {
-        for (size_t i = 0; i < cbatch.size(); ++i) {
-          sum_x += cbatch.column(1).double_data()[i];
+      while (cursor.Next(1000)) {
+        for (size_t i = 0; i < cursor.rows(); ++i) {
+          sum_x += cursor.column(1).double_data()[cursor.offset() + i];
         }
-        crows += cbatch.size();
+        crows += cursor.rows();
       }
-      NLQ_ASSERT_OK(cscan.status());
+      NLQ_ASSERT_OK(cursor.status());
       ASSERT_EQ(crows, end - begin);
     }
     EXPECT_EQ(seen, kRows);

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "common/random.h"
+#include "storage/buffer_pool.h"
 #include "storage/catalog.h"
+#include "storage/column_vector.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 #include "storage/partitioned_table.h"
@@ -238,6 +242,57 @@ Row MakeDataRow(int64_t i, double x1, double x2) {
   return {Datum::Int64(i), Datum::Double(x1), Datum::Double(x2)};
 }
 
+/// FNV-1a 64 over every byte of the file at `path`.
+uint64_t FileHash(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return 0;
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    h = (h ^ static_cast<uint8_t>(c)) * 0x100000001b3ull;
+  }
+  std::fclose(f);
+  return h;
+}
+
+/// Pages of a saved table file.
+uint64_t SavedPageCount(const std::string& path) {
+  DiskManager disk;
+  EXPECT_TRUE(disk.Open(path, /*truncate=*/false).ok()) << path;
+  auto pages = disk.PageCount();
+  EXPECT_TRUE(pages.ok()) << pages.status().ToString();
+  return pages.ok() ? *pages : 0;
+}
+
+/// Bit-exact rendering of rows (doubles as bit patterns, so NaN and
+/// -0.0 compare by value of their bits).
+std::string RowsSignature(const std::vector<Row>& rows) {
+  std::string out;
+  for (const Row& row : rows) {
+    for (const Datum& v : row) {
+      if (v.is_null()) {
+        out += 'N';
+        out += std::to_string(static_cast<int>(v.type()));
+      } else if (v.type() == DataType::kDouble) {
+        uint64_t bits = 0;
+        const double d = v.double_value();
+        std::memcpy(&bits, &d, sizeof(bits));
+        out += 'd';
+        out += std::to_string(bits);
+      } else if (v.type() == DataType::kInt64) {
+        out += 'i';
+        out += std::to_string(v.int_value());
+      } else {
+        out += 's';
+        out += v.string_value();
+      }
+      out += ',';
+    }
+    out += "\n";
+  }
+  return out;
+}
+
 TEST(TableTest, AppendAndScan) {
   Table table(Schema::DataSet(2));
   for (int i = 1; i <= 100; ++i) {
@@ -265,12 +320,16 @@ TEST(TableTest, ValidatesSchema) {
 }
 
 TEST(TableTest, SpillsAcrossPages) {
-  // Rows of ~25 bytes; tens of thousands force multiple 64 KB pages.
+  // Rows of ~25 bytes; tens of thousands force multiple 64 KB snapshot
+  // pages (and span many column chunks in memory).
   Table table(Schema::DataSet(2));
   for (int i = 0; i < 50000; ++i) {
     table.AppendRowUnchecked(MakeDataRow(i, 1.0, 2.0));
   }
-  EXPECT_GT(table.num_pages(), 10u);
+  const std::string path = TempPath("spills_across_pages.pages");
+  NLQ_ASSERT_OK(table.SaveToFile(path));
+  EXPECT_GT(SavedPageCount(path), 10u);
+  std::remove(path.c_str());
   NLQ_ASSERT_OK_AND_ASSIGN(std::vector<Row> rows, table.ReadAllRows());
   EXPECT_EQ(rows.size(), 50000u);
   EXPECT_EQ(rows[49999][0].int_value(), 49999);
@@ -297,7 +356,11 @@ TEST(TableTest, ClearResets) {
   table.AppendRowUnchecked({Datum::Int64(1), Datum::Double(1)});
   table.Clear();
   EXPECT_EQ(table.num_rows(), 0u);
-  EXPECT_EQ(table.num_pages(), 0u);
+  EXPECT_EQ(table.data_bytes(), 0u);
+  const std::string path = TempPath("clear_resets.pages");
+  NLQ_ASSERT_OK(table.SaveToFile(path));
+  EXPECT_EQ(SavedPageCount(path), 0u);
+  std::remove(path.c_str());
   BatchScanner scanner = table.ScanBatch();
   RowBatch batch;
   EXPECT_FALSE(scanner.Next(&batch));
@@ -305,8 +368,9 @@ TEST(TableTest, ClearResets) {
 
 
 TEST(TableTest, RowExactlyFillingPageBoundary) {
-  // A VARCHAR row sized so that two rows exactly fill a page payload:
-  // the third append must open a new page and scans must see all rows.
+  // A VARCHAR row sized so that two rows exactly fill a snapshot page
+  // payload: the third saved row must open a new page, and scans and
+  // a reload must see all rows.
   const Schema schema{std::vector<Column>{{"s", DataType::kVarchar}}};
   const size_t payload = kPageSize - Page::kHeaderSize;
   // Row cost = 1 null byte + 4 length bytes + string size.
@@ -317,14 +381,20 @@ TEST(TableTest, RowExactlyFillingPageBoundary) {
     table.AppendRowUnchecked({Datum::Varchar(std::string(string_size, 'x'))});
   }
   EXPECT_EQ(table.num_rows(), 5u);
-  EXPECT_EQ(table.num_pages(), 3u);  // 2 + 2 + 1
+  const std::string path = TempPath("exact_page_fill.pages");
+  NLQ_ASSERT_OK(table.SaveToFile(path));
+  EXPECT_EQ(SavedPageCount(path), 3u);  // 2 + 2 + 1
   NLQ_ASSERT_OK_AND_ASSIGN(std::vector<Row> rows, table.ReadAllRows());
   ASSERT_EQ(rows.size(), 5u);
   EXPECT_EQ(rows[4][0].string_value().size(), string_size);
+  Table loaded(schema);
+  NLQ_ASSERT_OK(loaded.LoadFromFile(path));
+  EXPECT_EQ(loaded.num_rows(), 5u);
+  std::remove(path.c_str());
 }
 
 TEST(TableTest, MaximalSingleRowPerPage) {
-  // One row just over half a page forces one page per row.
+  // One row just over half a snapshot page forces one page per row.
   const Schema schema{std::vector<Column>{{"s", DataType::kVarchar}}};
   const size_t payload = kPageSize - Page::kHeaderSize;
   const size_t string_size = payload / 2 + 100;
@@ -332,7 +402,36 @@ TEST(TableTest, MaximalSingleRowPerPage) {
   for (int i = 0; i < 4; ++i) {
     table.AppendRowUnchecked({Datum::Varchar(std::string(string_size, 'y'))});
   }
-  EXPECT_EQ(table.num_pages(), 4u);
+  const std::string path = TempPath("single_row_pages.pages");
+  NLQ_ASSERT_OK(table.SaveToFile(path));
+  EXPECT_EQ(SavedPageCount(path), 4u);
+  std::remove(path.c_str());
+}
+
+TEST(TableTest, AppendRejectsRowsLargerThanASnapshotPage) {
+  // A row that fills a whole snapshot page payload is accepted and
+  // saves; one byte more is rejected upfront, leaving the table
+  // unchanged and savable.
+  const Schema schema{std::vector<Column>{{"s", DataType::kVarchar}}};
+  const size_t payload = kPageSize - Page::kHeaderSize;
+  Table table(schema);
+  // Row cost = 1 null byte + 4 length bytes + string size.
+  const std::string fits(payload - 5, 'a');
+  NLQ_ASSERT_OK(table.AppendRow({Datum::Varchar(fits)}));
+  EXPECT_EQ(table.AppendRow({Datum::Varchar(fits + "b")}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table.num_rows(), 1u);
+  const std::string path = TempPath("largest_row.pages");
+  NLQ_ASSERT_OK(table.SaveToFile(path));
+  EXPECT_EQ(SavedPageCount(path), 1u);
+
+  // The trusted bulk path skips the check; saving such a table fails
+  // and removes the partial file instead of leaving a shorter table.
+  table.AppendRowUnchecked({Datum::Varchar(std::string(payload, 'c'))});
+  EXPECT_EQ(table.SaveToFile(path).code(), StatusCode::kInvalidArgument);
+  Table loaded(schema);
+  EXPECT_EQ(loaded.LoadFromFile(path).code(), StatusCode::kNotFound);
+  EXPECT_EQ(loaded.num_rows(), 0u);
 }
 
 TEST(TableTest, MixedWidthRowsRoundTripThroughDisk) {
@@ -370,6 +469,140 @@ TEST(TableTest, EmptyStringAndZeroValuesRoundTrip) {
   EXPECT_FALSE(rows[0][1].is_null());  // empty string is not NULL
   EXPECT_EQ(rows[0][1].string_value(), "");
   EXPECT_EQ(rows[1][0].double_value(), 0.0);
+}
+
+TEST(TableTest, ChunkCursorWalksSpilledChunksThenTheResidentTail) {
+  // Two and a half chunks spilled, then a chunk and a quarter appended
+  // behind them: a range straddling both halves is served as one window
+  // per chunk, in row order, with the spilled rows decoded through the
+  // pool and the resident ones read in place.
+  BufferPool pool(kPageSize * BufferPool::kMinFrames);
+  Table table(Schema::DataSet(1));
+  auto row = [](uint64_t i) {
+    return Row{Datum::Int64(static_cast<int64_t>(i)),
+               Datum::Double(static_cast<double>(i) * 0.5)};
+  };
+  const uint64_t kSpilled = 2 * kChunkRows + kChunkRows / 2;
+  for (uint64_t i = 0; i < kSpilled; ++i) table.AppendRowUnchecked(row(i));
+  NLQ_ASSERT_OK(table.SpillToDisk(TempPath("cursor_walk.spill"), &pool));
+  ASSERT_NE(table.spill(), nullptr);
+  ASSERT_EQ(table.spill()->num_chunks(), 3u);
+  const uint64_t kTotal = kSpilled + kChunkRows + kChunkRows / 4;
+  for (uint64_t i = kSpilled; i < kTotal; ++i) {
+    NLQ_ASSERT_OK(table.AppendRow(row(i)));
+  }
+  EXPECT_EQ(table.num_rows(), kTotal);
+  EXPECT_EQ(table.data_bytes(), kTotal * 16);
+  EXPECT_EQ(table.SpillToDisk(TempPath("cursor_walk2.spill"), &pool).code(),
+            StatusCode::kNotSupported);
+
+  const uint64_t begin = kChunkRows + 100;
+  const uint64_t end = kSpilled + kChunkRows + 7;
+  ChunkCursor cursor(&table, {1, 0}, begin, end);
+  uint64_t next = begin;
+  std::vector<size_t> windows;
+  while (cursor.Next(kChunkRows)) {
+    for (size_t r = 0; r < cursor.rows(); ++r) {
+      ASSERT_EQ(cursor.column(0).doubles[cursor.offset() + r],
+                static_cast<double>(next) * 0.5);
+      ASSERT_EQ(cursor.column(1).ints[cursor.offset() + r],
+                static_cast<int64_t>(next));
+      ++next;
+    }
+    windows.push_back(cursor.rows());
+  }
+  NLQ_ASSERT_OK(cursor.status());
+  EXPECT_EQ(next, end);
+  EXPECT_EQ(windows, (std::vector<size_t>{kChunkRows - 100, kChunkRows / 2,
+                                          kChunkRows, 7}));
+  // Pool pages of the two spilled chunks; the resident full chunk's two
+  // columns fill exactly one 64 KB block, its 7-row window one more.
+  EXPECT_EQ(cursor.pages_decoded(), table.spill()->chunk(1).pages +
+                                        table.spill()->chunk(2).pages + 2);
+
+  // Capped windows never cross a chunk boundary and still tile the range.
+  ChunkCursor capped(&table, {0}, begin, end);
+  windows.clear();
+  next = begin;
+  while (capped.Next(1500)) {
+    ASSERT_EQ(capped.column(0).ints[capped.offset()],
+              static_cast<int64_t>(next));
+    next += capped.rows();
+    windows.push_back(capped.rows());
+  }
+  NLQ_ASSERT_OK(capped.status());
+  EXPECT_EQ(next, end);
+  EXPECT_EQ(windows, (std::vector<size_t>{1500, 1500, kChunkRows - 3100,
+                                          1500, kChunkRows / 2 - 1500, 1500,
+                                          1500, kChunkRows - 3000, 7}));
+
+  // The row path reads the same rows across the boundary.
+  NLQ_ASSERT_OK_AND_ASSIGN(std::vector<Row> rows, table.ReadAllRows());
+  ASSERT_EQ(rows.size(), kTotal);
+  for (uint64_t i = 0; i < kTotal; ++i) {
+    ASSERT_EQ(rows[i][0].int_value(), static_cast<int64_t>(i));
+  }
+}
+
+TEST(ColumnVectorTest, AppendGrowsTheBitmapFromTheFirstNull) {
+  ColumnVector col;
+  col.type = DataType::kInt64;
+  for (int i = 0; i < 100; ++i) col.Append(Datum::Int64(i));
+  EXPECT_FALSE(col.has_nulls());
+  EXPECT_TRUE(col.null_bits.empty());
+  col.Append(Datum::Null(DataType::kInt64));
+  for (int i = 0; i < 100; ++i) col.Append(Datum::Double(i + 0.75));
+  col.Append(Datum::Null(DataType::kInt64));
+  ASSERT_EQ(col.size(), 202u);
+  EXPECT_EQ(col.null_count, 2u);
+  EXPECT_EQ(col.null_bits.size(), NullBitmapWords(202));
+  EXPECT_EQ(col.ints[100], 0);  // canonical slot under the null bit
+  EXPECT_EQ(col.ints[150], 49);  // DOUBLE truncates to BIGINT
+  for (size_t r = 0; r < col.size(); ++r) {
+    EXPECT_EQ(NullBitGet(col.null_bits.data(), r), r == 100 || r == 201);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot file format
+// ---------------------------------------------------------------------------
+
+TEST(TableTest, SnapshotFormatIsPinned) {
+  // The row-page snapshot format is an on-disk contract: the same rows
+  // must save to the same bytes whatever the in-memory layout. The
+  // constant is the FNV-1a hash of this table's file as first written.
+  const Schema schema{std::vector<Column>{{"i", DataType::kInt64},
+                                          {"x", DataType::kDouble},
+                                          {"s", DataType::kVarchar}}};
+  Table table(schema);
+  std::vector<Row> written;
+  for (int64_t r = 0; r < 6000; ++r) {
+    Row row(3);
+    row[0] = r % 7 == 3 ? Datum::Null(DataType::kInt64)
+                        : Datum::Int64(r * 1000003 - 5);
+    switch (r % 5) {
+      case 0: row[1] = Datum::Double(0.0); break;
+      case 1: row[1] = Datum::Double(-0.0); break;
+      case 2: row[1] = Datum::Double(std::numeric_limits<double>::quiet_NaN()); break;
+      case 3: row[1] = Datum::Null(DataType::kDouble); break;
+      default: row[1] = Datum::Double(static_cast<double>(r) * 0.125 - 7.5);
+    }
+    row[2] = r % 11 == 0
+                 ? Datum::Null(DataType::kVarchar)
+                 : Datum::Varchar(std::string(r % 23, static_cast<char>('a' + r % 26)));
+    NLQ_ASSERT_OK(table.AppendRow(row));
+    written.push_back(std::move(row));
+  }
+  const std::string path = TempPath("snapshot_pinned.pages");
+  NLQ_ASSERT_OK(table.SaveToFile(path));
+  EXPECT_GE(SavedPageCount(path), 3u);
+  EXPECT_EQ(FileHash(path), 0x3af7f99224354a49ull) << std::hex << FileHash(path);
+
+  Table loaded(schema);
+  NLQ_ASSERT_OK(loaded.LoadFromFile(path));
+  NLQ_ASSERT_OK_AND_ASSIGN(std::vector<Row> rows, loaded.ReadAllRows());
+  EXPECT_EQ(RowsSignature(rows), RowsSignature(written));
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
