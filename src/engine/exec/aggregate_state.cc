@@ -57,29 +57,33 @@ bool ColumnLane(const CompiledExpr& prog, const ColumnSpanBatch& batch,
 
 /// Lane of a builtin's single argument; a VM-evaluated lane aliases a
 /// register until the next evaluation.
-ArgLane BuiltinLane(const CompiledExpr& prog, const ColumnSpanBatch& batch,
-                    const std::vector<int>& slot_to_col, ExprVM* vm) {
+StatusOr<ArgLane> BuiltinLane(const CompiledExpr& prog,
+                              const ColumnSpanBatch& batch,
+                              const std::vector<int>& slot_to_col,
+                              ExprVM* vm) {
   ArgLane lane;
   if (ColumnLane(prog, batch, slot_to_col, &lane)) return lane;
-  vm->EvalSpans(prog, batch, slot_to_col, batch.rows);
+  NLQ_RETURN_IF_ERROR(vm->EvalSpans(prog, batch, slot_to_col, batch.rows));
   return RegLane(vm->result(prog), prog.result_type());
 }
 
 /// Fills scratch->lanes with every program argument of one UDF call,
 /// all valid at once: bare columns alias the batch, other programs'
 /// results are copied out of the VM.
-void LoadUdfLanes(const VectorAggSpec& args, const ColumnSpanBatch& batch,
-                  const std::vector<int>& slot_to_col, SpanScratch* s) {
+Status LoadUdfLanes(const VectorAggSpec& args, const ColumnSpanBatch& batch,
+                    const std::vector<int>& slot_to_col, SpanScratch* s) {
   const size_t ncols = args.progs.size();
   s->lanes.resize(ncols);
   if (s->regs.size() < ncols) s->regs.resize(ncols);
   for (size_t a = 0; a < ncols; ++a) {
     const CompiledExpr& prog = *args.progs[a];
     if (ColumnLane(prog, batch, slot_to_col, &s->lanes[a])) continue;
-    s->vm.EvalSpans(prog, batch, slot_to_col, batch.rows);
+    NLQ_RETURN_IF_ERROR(
+        s->vm.EvalSpans(prog, batch, slot_to_col, batch.rows));
     s->vm.CopyResult(prog, batch.rows, &s->regs[a]);
     s->lanes[a] = RegLane(s->regs[a], prog.result_type());
   }
+  return Status::OK();
 }
 
 /// One UDF call over the batch through AccumulateSpans: widens BIGINT
@@ -90,7 +94,7 @@ Status AccumulateUdfSpans(const AggregateSpec& spec, const VectorAggSpec& args,
                           const ColumnSpanBatch& batch,
                           const std::vector<int>& slot_to_col, void* state,
                           SpanScratch* s) {
-  LoadUdfLanes(args, batch, slot_to_col, s);
+  NLQ_RETURN_IF_ERROR(LoadUdfLanes(args, batch, slot_to_col, s));
   const size_t ncols = args.progs.size();
   const size_t rows = batch.rows;
   bool any_nulls = false;
@@ -137,7 +141,7 @@ Status AccumulateUdfRows(const AggregateSpec& spec, size_t i,
                          const ColumnSpanBatch& batch,
                          const std::vector<int>& slot_to_col, SpanScratch* s,
                          StateOf state_of) {
-  LoadUdfLanes(args, batch, slot_to_col, s);
+  NLQ_RETURN_IF_ERROR(LoadUdfLanes(args, batch, slot_to_col, s));
   const size_t nconst = args.const_args.size();
   s->row_args.resize(nconst + s->lanes.size());
   for (size_t a = 0; a < nconst; ++a) s->row_args[a] = args.const_args[a];
@@ -179,8 +183,9 @@ Status AccumulateBatch(const std::vector<AggregateSpec>& specs,
       }
       continue;
     }
-    const ArgLane x =
-        BuiltinLane(*args[i].progs[0], batch, slot_to_col, &s->vm);
+    NLQ_ASSIGN_OR_RETURN(
+        const ArgLane x,
+        BuiltinLane(*args[i].progs[0], batch, slot_to_col, &s->vm));
     for (size_t r = 0; r < n; ++r) {
       if (LaneNull(x, r)) continue;
       UpdateBuiltin(spec.kind, LaneDouble(x, r), &state_of(r)->builtin[i]);

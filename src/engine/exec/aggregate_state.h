@@ -168,7 +168,10 @@ struct ArgLane {
 };
 
 /// Per-stream scratch of the columnar ROW phase, reused across batches.
+/// `ctx` (may be null) is what the VM polls during UDF calls.
 struct SpanScratch {
+  explicit SpanScratch(const QueryContext* ctx = nullptr) : vm(ctx) {}
+
   ExprVM vm;
   std::vector<ExprVM::Reg> regs;          // per argument: program results
   std::vector<ArgLane> lanes;             // per argument

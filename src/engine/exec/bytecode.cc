@@ -6,6 +6,7 @@
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "engine/exec/plan.h"
 #include "engine/expr.h"
 #include "storage/column_vector.h"
 
@@ -30,14 +31,11 @@ bool AnyBitSet(const std::vector<uint64_t>& words) {
   return false;
 }
 
-/// Runs `prog` over `n` rows. `load` fills the destination register of
-/// each kLoadCol instruction (the only input-dependent opcode), so the
-/// row-gather and span-copy entry points share every operator loop —
-/// and therefore produce bit-identical results by construction.
-template <typename Loader>
-void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* regs,
-                Loader load) {
-  if (regs->size() < prog.num_regs()) regs->resize(prog.num_regs());
+}  // namespace
+
+Status ExprVM::EvalSpans(const CompiledExpr& prog, const ColumnSpanBatch& in,
+                         const std::vector<int>& slot_to_col, size_t n) {
+  if (regs_.size() < prog.num_regs()) regs_.resize(prog.num_regs());
   const size_t words = NullBitmapWords(n);
 
   auto prep = [&](ExprVM::Reg& r, DataType t) {
@@ -64,13 +62,23 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
   };
 
   for (const Instr& ins : prog.instructions()) {
-    ExprVM::Reg& dst = (*regs)[ins.dst];
+    ExprVM::Reg& dst = regs_[ins.dst];
     // Registers are SSA (one def each), so operand aliasing with dst
     // cannot occur and every loop may write dst freely.
     switch (ins.op) {
       case OpCode::kLoadCol: {
         prep(dst, ins.type);
-        load(ins, &dst);
+        const int col = slot_to_col[ins.slot];
+        if (ins.type == DataType::kDouble) {
+          std::memcpy(dst.d.data(), in.doubles[col], n * sizeof(double));
+        } else {
+          std::memcpy(dst.i.data(), in.ints[col], n * sizeof(int64_t));
+        }
+        const uint64_t* nb = in.null_bits[col];
+        if (nb != nullptr) {
+          std::memcpy(dst.nulls.data(), nb, words * sizeof(uint64_t));
+          dst.has_nulls = AnyBitSet(dst.nulls);
+        }
         break;
       }
       case OpCode::kLoadConst: {
@@ -89,7 +97,7 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
         break;
       }
       case OpCode::kCastDouble: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
+        const ExprVM::Reg& a = regs_[ins.a];
         prep(dst, DataType::kDouble);
         for (size_t r = 0; r < n; ++r) {
           dst.d[r] = static_cast<double>(a.i[r]);
@@ -98,35 +106,35 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
         break;
       }
       case OpCode::kTruthD: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
+        const ExprVM::Reg& a = regs_[ins.a];
         prep(dst, DataType::kInt64);
         for (size_t r = 0; r < n; ++r) dst.i[r] = a.d[r] != 0.0 ? 1 : 0;
         copy_nulls(dst, a);
         break;
       }
       case OpCode::kTruthI: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
+        const ExprVM::Reg& a = regs_[ins.a];
         prep(dst, DataType::kInt64);
         for (size_t r = 0; r < n; ++r) dst.i[r] = a.i[r] != 0 ? 1 : 0;
         copy_nulls(dst, a);
         break;
       }
       case OpCode::kNegI: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
+        const ExprVM::Reg& a = regs_[ins.a];
         prep(dst, DataType::kInt64);
         for (size_t r = 0; r < n; ++r) dst.i[r] = -a.i[r];
         copy_nulls(dst, a);
         break;
       }
       case OpCode::kNegD: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
+        const ExprVM::Reg& a = regs_[ins.a];
         prep(dst, DataType::kDouble);
         for (size_t r = 0; r < n; ++r) dst.d[r] = -a.d[r];
         copy_nulls(dst, a);
         break;
       }
       case OpCode::kNot: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
+        const ExprVM::Reg& a = regs_[ins.a];
         prep(dst, DataType::kInt64);
         for (size_t r = 0; r < n; ++r) dst.i[r] = a.i[r] == 0 ? 1 : 0;
         copy_nulls(dst, a);
@@ -135,8 +143,8 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
       case OpCode::kAddI:
       case OpCode::kSubI:
       case OpCode::kMulI: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
-        const ExprVM::Reg& b = (*regs)[ins.b];
+        const ExprVM::Reg& a = regs_[ins.a];
+        const ExprVM::Reg& b = regs_[ins.b];
         prep(dst, DataType::kInt64);
         if (ins.op == OpCode::kAddI) {
           for (size_t r = 0; r < n; ++r) dst.i[r] = a.i[r] + b.i[r];
@@ -149,8 +157,8 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
         break;
       }
       case OpCode::kModI: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
-        const ExprVM::Reg& b = (*regs)[ins.b];
+        const ExprVM::Reg& a = regs_[ins.a];
+        const ExprVM::Reg& b = regs_[ins.b];
         prep(dst, DataType::kInt64);
         union_nulls(dst, a, b);
         for (size_t r = 0; r < n; ++r) {
@@ -167,8 +175,8 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
       case OpCode::kAddD:
       case OpCode::kSubD:
       case OpCode::kMulD: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
-        const ExprVM::Reg& b = (*regs)[ins.b];
+        const ExprVM::Reg& a = regs_[ins.a];
+        const ExprVM::Reg& b = regs_[ins.b];
         prep(dst, DataType::kDouble);
         if (ins.op == OpCode::kAddD) {
           for (size_t r = 0; r < n; ++r) dst.d[r] = a.d[r] + b.d[r];
@@ -181,8 +189,8 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
         break;
       }
       case OpCode::kDivD: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
-        const ExprVM::Reg& b = (*regs)[ins.b];
+        const ExprVM::Reg& a = regs_[ins.a];
+        const ExprVM::Reg& b = regs_[ins.b];
         prep(dst, DataType::kDouble);
         union_nulls(dst, a, b);
         for (size_t r = 0; r < n; ++r) {
@@ -198,8 +206,8 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
       }
       case OpCode::kModD:
       case OpCode::kFmod: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
-        const ExprVM::Reg& b = (*regs)[ins.b];
+        const ExprVM::Reg& a = regs_[ins.a];
+        const ExprVM::Reg& b = regs_[ins.b];
         prep(dst, DataType::kDouble);
         union_nulls(dst, a, b);
         for (size_t r = 0; r < n; ++r) {
@@ -219,8 +227,8 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
       case OpCode::kCmpLe:
       case OpCode::kCmpGt:
       case OpCode::kCmpGe: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
-        const ExprVM::Reg& b = (*regs)[ins.b];
+        const ExprVM::Reg& a = regs_[ins.a];
+        const ExprVM::Reg& b = regs_[ins.b];
         prep(dst, DataType::kInt64);
         // The -1/0/1 ladder mirrors the interpreter's EvalComparison,
         // including its NaN behavior (NaN compares "equal").
@@ -244,8 +252,8 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
       }
       case OpCode::kAnd:
       case OpCode::kOr: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
-        const ExprVM::Reg& b = (*regs)[ins.b];
+        const ExprVM::Reg& a = regs_[ins.a];
+        const ExprVM::Reg& b = regs_[ins.b];
         prep(dst, DataType::kInt64);
         const bool is_and = ins.op == OpCode::kAnd;
         if (!a.has_nulls && !b.has_nulls) {
@@ -285,7 +293,7 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
       }
       case OpCode::kIsNull:
       case OpCode::kIsNotNull: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
+        const ExprVM::Reg& a = regs_[ins.a];
         prep(dst, DataType::kInt64);
         const bool want_null = ins.op == OpCode::kIsNull;
         for (size_t r = 0; r < n; ++r) {
@@ -295,7 +303,7 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
         break;
       }
       case OpCode::kSqrt: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
+        const ExprVM::Reg& a = regs_[ins.a];
         prep(dst, DataType::kDouble);
         copy_nulls(dst, a);
         for (size_t r = 0; r < n; ++r) {
@@ -310,7 +318,7 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
         break;
       }
       case OpCode::kLn: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
+        const ExprVM::Reg& a = regs_[ins.a];
         prep(dst, DataType::kDouble);
         copy_nulls(dst, a);
         for (size_t r = 0; r < n; ++r) {
@@ -329,7 +337,7 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
       case OpCode::kFloor:
       case OpCode::kCeil:
       case OpCode::kRound: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
+        const ExprVM::Reg& a = regs_[ins.a];
         prep(dst, DataType::kDouble);
         copy_nulls(dst, a);
         switch (ins.op) {
@@ -352,8 +360,8 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
         break;
       }
       case OpCode::kPow: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
-        const ExprVM::Reg& b = (*regs)[ins.b];
+        const ExprVM::Reg& a = regs_[ins.a];
+        const ExprVM::Reg& b = regs_[ins.b];
         prep(dst, DataType::kDouble);
         union_nulls(dst, a, b);
         for (size_t r = 0; r < n; ++r) dst.d[r] = std::pow(a.d[r], b.d[r]);
@@ -361,8 +369,8 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
       }
       case OpCode::kLeast:
       case OpCode::kGreatest: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
-        const ExprVM::Reg& b = (*regs)[ins.b];
+        const ExprVM::Reg& a = regs_[ins.a];
+        const ExprVM::Reg& b = regs_[ins.b];
         prep(dst, DataType::kDouble);
         union_nulls(dst, a, b);
         // Fold direction matches the interpreter's running-best scan:
@@ -380,8 +388,8 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
         break;
       }
       case OpCode::kCoalesce: {
-        const ExprVM::Reg& a = (*regs)[ins.a];
-        const ExprVM::Reg& b = (*regs)[ins.b];
+        const ExprVM::Reg& a = regs_[ins.a];
+        const ExprVM::Reg& b = regs_[ins.b];
         prep(dst, ins.type);
         for (size_t r = 0; r < n; ++r) {
           const bool an = a.has_nulls && NullBitGet(a.nulls.data(), r);
@@ -399,9 +407,9 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
         break;
       }
       case OpCode::kSelect: {
-        const ExprVM::Reg& cond = (*regs)[ins.a];
-        const ExprVM::Reg& b = (*regs)[ins.b];
-        const ExprVM::Reg& c = (*regs)[ins.c];
+        const ExprVM::Reg& cond = regs_[ins.a];
+        const ExprVM::Reg& b = regs_[ins.b];
+        const ExprVM::Reg& c = regs_[ins.c];
         prep(dst, ins.type);
         for (size_t r = 0; r < n; ++r) {
           const bool taken =
@@ -420,60 +428,55 @@ void RunProgram(const CompiledExpr& prog, size_t n, std::vector<ExprVM::Reg>* re
         }
         break;
       }
+      case OpCode::kCall: {
+        prep(dst, ins.type);
+        NLQ_RETURN_IF_ERROR(RunCall(prog, ins, n));
+        dst.has_nulls = AnyBitSet(dst.nulls);
+        break;
+      }
     }
   }
+  return Status::OK();
 }
 
-}  // namespace
-
-void ExprVM::EvalRows(const CompiledExpr& prog, const storage::Row* rows,
-                      size_t n) {
-  RunProgram(prog, n, &regs_, [&](const Instr& ins, Reg* dst) {
-    const size_t slot = ins.slot;
-    if (ins.type == DataType::kDouble) {
-      for (size_t r = 0; r < n; ++r) {
-        const Datum& v = rows[r][slot];
-        if (v.is_null()) {
-          dst->d[r] = 0.0;
-          NullBitSet(dst->nulls.data(), r);
-          dst->has_nulls = true;
-        } else {
-          dst->d[r] = v.AsDouble();
-        }
+Status ExprVM::RunCall(const CompiledExpr& prog, const Instr& ins, size_t n) {
+  const CallSite& call = prog.calls()[ins.slot];
+  Reg& dst = regs_[ins.dst];
+  call_args_.resize(call.args.size());
+  // One UDF call per kCancelPollRows-row slice (a multiple of 64, so
+  // every slice starts on a null-bitmap word), polling the context
+  // between slices.
+  for (size_t begin = 0; begin < n; begin += kCancelPollRows) {
+    if (begin > 0 && ctx_ != nullptr) NLQ_RETURN_IF_ERROR(ctx_->CheckAlive());
+    const size_t rows = std::min(kCancelPollRows, n - begin);
+    const size_t word = begin / 64;
+    for (size_t a = 0; a < call.args.size(); ++a) {
+      const CallSite::Arg& arg = call.args[a];
+      udf::SpanArg& out = call_args_[a];
+      out = udf::SpanArg();
+      if (arg.is_const) {
+        out.constant = &arg.value;
+        continue;
       }
-    } else {
-      for (size_t r = 0; r < n; ++r) {
-        const Datum& v = rows[r][slot];
-        if (v.is_null()) {
-          dst->i[r] = 0;
-          NullBitSet(dst->nulls.data(), r);
-          dst->has_nulls = true;
-        } else {
-          dst->i[r] = v.int_value();
-        }
+      const Reg& reg = regs_[arg.reg];
+      out.type = arg.type;
+      if (arg.type == DataType::kDouble) {
+        out.d = reg.d.data() + begin;
+      } else {
+        out.i = reg.i.data() + begin;
       }
+      if (reg.has_nulls) out.nulls = reg.nulls.data() + word;
     }
-  });
-}
-
-void ExprVM::EvalSpans(const CompiledExpr& prog, const ColumnSpanBatch& in,
-                       const std::vector<int>& slot_to_col, size_t n) {
-  RunProgram(prog, n, &regs_, [&](const Instr& ins, Reg* dst) {
-    const int col = slot_to_col[ins.slot];
+    udf::SpanOutput result;
     if (ins.type == DataType::kDouble) {
-      const double* src = in.doubles[col];
-      std::memcpy(dst->d.data(), src, n * sizeof(double));
+      result.d = dst.d.data() + begin;
     } else {
-      const int64_t* src = in.ints[col];
-      std::memcpy(dst->i.data(), src, n * sizeof(int64_t));
+      result.i = dst.i.data() + begin;
     }
-    const uint64_t* nb = in.null_bits[col];
-    if (nb != nullptr) {
-      std::memcpy(dst->nulls.data(), nb,
-                  NullBitmapWords(n) * sizeof(uint64_t));
-      dst->has_nulls = AnyBitSet(dst->nulls);
-    }
-  });
+    result.nulls = dst.nulls.data() + word;
+    NLQ_RETURN_IF_ERROR(call.udf->InvokeSpans(call_args_, rows, result));
+  }
+  return Status::OK();
 }
 
 Datum BoxRegValue(const ExprVM::Reg& reg, DataType type, size_t r) {
@@ -526,6 +529,7 @@ struct BytecodeBuilder::Value {
   bool is_const = false;
   storage::Datum cval;
   int reg = -1;  // materialized register, -1 until needed
+  bool has_call = false;  // computed from a kCall result
 };
 
 BytecodeBuilder::BytecodeBuilder() = default;
@@ -536,6 +540,18 @@ bool BytecodeBuilder::Valid(ValueId v) const {
 }
 
 DataType BytecodeBuilder::TypeOf(ValueId v) const { return values_[v].type; }
+
+bool BytecodeBuilder::HasCall(ValueId v) const {
+  return Valid(v) && values_[v].has_call;
+}
+
+bool BytecodeBuilder::AnyCallAfterFirst(
+    const std::vector<ValueId>& args) const {
+  for (size_t i = 1; i < args.size(); ++i) {
+    if (HasCall(args[i])) return true;
+  }
+  return false;
+}
 
 BytecodeBuilder::ValueId BytecodeBuilder::Constant(const Datum& v) {
   if (v.type() == DataType::kVarchar) return kInvalidValue;
@@ -633,19 +649,24 @@ BytecodeBuilder::ValueId BytecodeBuilder::EmitOrFold(
     tmp.num_regs_ = k + 1;
     tmp.result_reg_ = instr.dst;
     tmp.result_type_ = type;
+    // Only total opcodes fold (never kCall), so evaluation cannot fail.
     ExprVM vm;
-    vm.EvalRows(tmp, nullptr, 1);
+    (void)vm.EvalSpans(tmp, ColumnSpanBatch{}, {}, 1);
     return Constant(BoxRegValue(vm.result(tmp), type, 0));
   }
   size_t k = 0;
+  bool has_call = false;
   for (ValueId v : operands) {
+    has_call = has_call || values_[v].has_call;
     const uint16_t reg = Reg(v);
     if (k == 0) instr.a = reg;
     if (k == 1) instr.b = reg;
     if (k == 2) instr.c = reg;
     ++k;
   }
-  return Emit(instr, type);
+  const ValueId out = Emit(instr, type);
+  if (Valid(out)) values_[out].has_call = has_call;
+  return out;
 }
 
 BytecodeBuilder::ValueId BytecodeBuilder::CastDouble(ValueId v) {
@@ -731,9 +752,11 @@ BytecodeBuilder::ValueId BytecodeBuilder::Binary(BinaryOp op, ValueId l,
     }
     case BinaryOp::kAnd:
     case BinaryOp::kOr: {
-      // Eager evaluation is safe: the compilable subset is pure and
-      // total, so the interpreter's short-circuit order is
-      // unobservable.
+      // The VM evaluates both operands on every row; the interpreter
+      // skips the right one once the left decides. Only a call can
+      // observe the difference (it may fail, or be slow), so a right
+      // operand holding one stays interpreted.
+      if (HasCall(r)) return kInvalidValue;
       Instr ins;
       ins.op = op == BinaryOp::kAnd ? OpCode::kAnd : OpCode::kOr;
       return EmitOrFold(ins, DataType::kInt64, {Truth(l), Truth(r)});
@@ -765,14 +788,15 @@ BytecodeBuilder::ValueId BytecodeBuilder::Call1(ScalarFn1 fn, ValueId v) {
 }
 
 BytecodeBuilder::ValueId BytecodeBuilder::Power(ValueId x, ValueId y) {
-  if (!Valid(x) || !Valid(y)) return kInvalidValue;
+  // The interpreter skips y when x is NULL.
+  if (!Valid(x) || !Valid(y) || HasCall(y)) return kInvalidValue;
   Instr ins;
   ins.op = OpCode::kPow;
   return EmitOrFold(ins, DataType::kDouble, {CastDouble(x), CastDouble(y)});
 }
 
 BytecodeBuilder::ValueId BytecodeBuilder::FMod(ValueId x, ValueId y) {
-  if (!Valid(x) || !Valid(y)) return kInvalidValue;
+  if (!Valid(x) || !Valid(y) || HasCall(y)) return kInvalidValue;
   Instr ins;
   ins.op = OpCode::kFmod;
   return EmitOrFold(ins, DataType::kDouble, {CastDouble(x), CastDouble(y)});
@@ -780,7 +804,7 @@ BytecodeBuilder::ValueId BytecodeBuilder::FMod(ValueId x, ValueId y) {
 
 BytecodeBuilder::ValueId BytecodeBuilder::Least(
     const std::vector<ValueId>& args) {
-  if (args.empty()) return kInvalidValue;
+  if (args.empty() || AnyCallAfterFirst(args)) return kInvalidValue;
   ValueId acc = CastDouble(args[0]);
   for (size_t i = 1; i < args.size() && Valid(acc); ++i) {
     Instr ins;
@@ -792,7 +816,7 @@ BytecodeBuilder::ValueId BytecodeBuilder::Least(
 
 BytecodeBuilder::ValueId BytecodeBuilder::Greatest(
     const std::vector<ValueId>& args) {
-  if (args.empty()) return kInvalidValue;
+  if (args.empty() || AnyCallAfterFirst(args)) return kInvalidValue;
   ValueId acc = CastDouble(args[0]);
   for (size_t i = 1; i < args.size() && Valid(acc); ++i) {
     Instr ins;
@@ -804,7 +828,7 @@ BytecodeBuilder::ValueId BytecodeBuilder::Greatest(
 
 BytecodeBuilder::ValueId BytecodeBuilder::Coalesce(
     const std::vector<ValueId>& args) {
-  if (args.empty()) return kInvalidValue;
+  if (args.empty() || AnyCallAfterFirst(args)) return kInvalidValue;
   for (ValueId v : args) {
     if (!Valid(v) || TypeOf(v) != DataType::kDouble) return kInvalidValue;
   }
@@ -831,6 +855,14 @@ BytecodeBuilder::ValueId BytecodeBuilder::Case(
       return kInvalidValue;
     }
   }
+  // A row evaluates the first condition, later conditions until one
+  // holds, then one value: only the first condition may hold a call.
+  for (size_t i = 0; i < branches.size(); ++i) {
+    if ((i > 0 && HasCall(branches[i].first)) || HasCall(branches[i].second)) {
+      return kInvalidValue;
+    }
+  }
+  if (HasCall(else_value)) return kInvalidValue;
   ValueId acc = else_value;
   if (acc == kInvalidValue) {
     acc = Constant(Datum::Null(result_type));
@@ -846,6 +878,34 @@ BytecodeBuilder::ValueId BytecodeBuilder::Case(
   return acc;
 }
 
+BytecodeBuilder::ValueId BytecodeBuilder::Call(
+    const udf::ScalarUdf* udf, const std::vector<ValueId>& args) {
+  const DataType type = udf->return_type();
+  if (type == DataType::kVarchar) return kInvalidValue;
+  CallSite call;
+  call.udf = udf;
+  for (const ValueId v : args) {
+    if (!Valid(v)) return kInvalidValue;
+    CallSite::Arg arg;
+    arg.type = TypeOf(v);
+    arg.is_const = values_[v].is_const;
+    if (arg.is_const) {
+      arg.value = values_[v].cval;
+    } else {
+      arg.reg = Reg(v);
+    }
+    call.args.push_back(std::move(arg));
+  }
+  if (calls_.size() > UINT32_MAX) return kInvalidValue;
+  Instr ins;
+  ins.op = OpCode::kCall;
+  ins.slot = static_cast<uint32_t>(calls_.size());
+  calls_.push_back(std::move(call));
+  const ValueId out = Emit(ins, type);
+  if (Valid(out)) values_[out].has_call = true;
+  return out;
+}
+
 namespace {
 
 void AppendBytes(std::string* key, const void* p, size_t size) {
@@ -853,6 +913,7 @@ void AppendBytes(std::string* key, const void* p, size_t size) {
 }
 
 std::string SerializeProgram(const std::vector<Instr>& instrs,
+                             const std::vector<CallSite>& calls,
                              uint16_t result_reg, DataType result_type) {
   std::string key;
   key.reserve(instrs.size() * 32 + 8);
@@ -868,6 +929,26 @@ std::string SerializeProgram(const std::vector<Instr>& instrs,
     AppendBytes(&key, &ins.const_d, sizeof(ins.const_d));
     AppendBytes(&key, &ins.const_i, sizeof(ins.const_i));
   }
+  for (const CallSite& call : calls) {
+    // The UDF by identity and name, then each argument: a register, or
+    // a constant's type, NULL flag and value bits.
+    AppendBytes(&key, &call.udf, sizeof(call.udf));
+    key += call.udf->name();
+    key.push_back('\0');
+    for (const CallSite::Arg& arg : call.args) {
+      key.push_back(static_cast<char>(arg.is_const));
+      key.push_back(static_cast<char>(arg.type));
+      if (!arg.is_const) {
+        AppendBytes(&key, &arg.reg, sizeof(arg.reg));
+        continue;
+      }
+      key.push_back(static_cast<char>(arg.value.is_null()));
+      const double d = arg.value.AsDouble();
+      const int64_t i = arg.type == DataType::kInt64 ? arg.value.int_value() : 0;
+      AppendBytes(&key, &d, sizeof(d));
+      AppendBytes(&key, &i, sizeof(i));
+    }
+  }
   AppendBytes(&key, &result_reg, sizeof(result_reg));
   key.push_back(static_cast<char>(result_type));
   return key;
@@ -880,14 +961,15 @@ std::shared_ptr<CompiledExpr> BytecodeBuilder::Finish(ValueId root) {
   const uint16_t result_reg = Reg(root);
   auto prog = std::make_shared<CompiledExpr>();
   prog->instrs_ = std::move(instrs_);
+  prog->calls_ = std::move(calls_);
   prog->num_regs_ = num_regs_;
   prog->result_reg_ = result_reg;
   prog->result_type_ = TypeOf(root);
   std::sort(slots_.begin(), slots_.end());
   slots_.erase(std::unique(slots_.begin(), slots_.end()), slots_.end());
   prog->slots_ = std::move(slots_);
-  prog->key_ =
-      SerializeProgram(prog->instrs_, result_reg, prog->result_type_);
+  prog->key_ = SerializeProgram(prog->instrs_, prog->calls_, result_reg,
+                                prog->result_type_);
   return prog;
 }
 

@@ -10,9 +10,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/query_context.h"
 #include "engine/ast.h"
 #include "engine/exec/column_stream.h"
 #include "storage/value.h"
+#include "udf/udf.h"
 
 namespace nlq::engine {
 class BoundExpr;  // engine/expr.h (included by bytecode.cc only)
@@ -32,10 +34,15 @@ using nlq::engine::BoundExpr;
 /// propagate bitmaps (union for strict ops, the SQL three-valued rules
 /// for AND/OR), and consumers skip rows whose result bit is set — the
 /// same skip-row rule the interpreted Datum path implements with
-/// is_null() checks. Every opcode is total (division by zero, sqrt of
-/// a negative, ln of a non-positive all yield NULL, exactly like
-/// expr.cc), so evaluation cannot fail and needs no per-row error
-/// plumbing.
+/// is_null() checks. Every opcode but kCall is total (division by
+/// zero, sqrt of a negative, ln of a non-positive all yield NULL,
+/// exactly like expr.cc). kCall runs a scalar UDF, which may fail: its
+/// error becomes the evaluation's status, and the VM polls its
+/// QueryContext between the call's 256-row slices. Because the VM
+/// computes every operand on every row while the interpreter skips
+/// some (AND/OR, CASE, COALESCE, LEAST/GREATEST, a second power/mod
+/// argument), a call never compiles in an operand the interpreter
+/// evaluates lazily: both paths then run each call on the same rows.
 enum class OpCode : uint8_t {
   kLoadCol,    // dst <- input slot `slot` (type from instr.type)
   kLoadConst,  // dst <- broadcast constant
@@ -66,11 +73,13 @@ enum class OpCode : uint8_t {
   kGreatest,   // dst.d <- b > a ? b : a; NULL if either is
   kCoalesce,   // dst <- a unless null(a), else b (same-typed lanes)
   kSelect,     // dst <- truth(a) ? b : c (a bool; NULL cond -> c)
+  kCall,       // dst <- ScalarUdf::InvokeSpans over calls()[slot]
 };
 
 /// One instruction. `dst`/`a`/`b`/`c` are register numbers; `type` is
 /// the destination's lane type (kDouble or kInt64 — VARCHAR never
-/// compiles); `slot`/const_* are the kLoadCol / kLoadConst payloads.
+/// compiles); `slot`/const_* are the kLoadCol / kLoadConst payloads,
+/// and `slot` indexes CompiledExpr::calls() for kCall.
 struct Instr {
   OpCode op = OpCode::kLoadConst;
   storage::DataType type = storage::DataType::kDouble;
@@ -84,11 +93,26 @@ struct Instr {
   int64_t const_i = 0;
 };
 
+/// Payload of one kCall: the scalar UDF and its arguments in call
+/// order. A constant argument stays a scalar (never a broadcast
+/// register); any other argument is a register of lane type `type`.
+struct CallSite {
+  struct Arg {
+    bool is_const = false;
+    storage::Datum value;  // is_const
+    uint16_t reg = 0;      // !is_const
+    storage::DataType type = storage::DataType::kDouble;
+  };
+  const udf::ScalarUdf* udf = nullptr;
+  std::vector<Arg> args;
+};
+
 /// An immutable compiled program. Shared (via the cache) between
 /// plans and streams; all evaluation state lives in ExprVM.
 class CompiledExpr {
  public:
   const std::vector<Instr>& instructions() const { return instrs_; }
+  const std::vector<CallSite>& calls() const { return calls_; }
   size_t num_instructions() const { return instrs_.size(); }
   size_t num_regs() const { return num_regs_; }
   uint16_t result_reg() const { return result_reg_; }
@@ -105,6 +129,7 @@ class CompiledExpr {
  private:
   friend class BytecodeBuilder;
   std::vector<Instr> instrs_;
+  std::vector<CallSite> calls_;
   size_t num_regs_ = 0;
   uint16_t result_reg_ = 0;
   storage::DataType result_type_ = storage::DataType::kDouble;
@@ -127,7 +152,13 @@ enum class ScalarFn1 : uint8_t {
 /// comparisons go through double) and folds constant subtrees at
 /// emission time by evaluating the would-be instruction over a
 /// one-row batch — the folded semantics are the VM's own, so
-/// `price * (1 + 0.07)` compiles to load, load-const 1.07, mul.
+/// `price * (1 + 0.07)` compiles to load, load-const 1.07, mul. A
+/// scalar UDF call is never folded, so planning never invokes a UDF.
+/// Each value records whether it is computed from a call; the lazily
+/// evaluated operands (the right side of AND/OR, every CASE operand
+/// but the first condition, every COALESCE/LEAST/GREATEST argument but
+/// the first, the second power/mod argument) return kInvalidValue when
+/// they hold one.
 class BytecodeBuilder {
  public:
   using ValueId = int;
@@ -158,6 +189,9 @@ class BytecodeBuilder {
   /// CASE WHEN chain; branches/else must share one static type.
   ValueId Case(const std::vector<std::pair<ValueId, ValueId>>& branches,
                ValueId else_value, storage::DataType result_type);
+  /// Scalar UDF call; kInvalidValue when the UDF returns VARCHAR (a
+  /// VARCHAR argument is already invalid).
+  ValueId Call(const udf::ScalarUdf* udf, const std::vector<ValueId>& args);
 
   /// Seals the program with `root` as its result. Returns nullptr if
   /// root is invalid.
@@ -174,20 +208,25 @@ class BytecodeBuilder {
   ValueId Truth(ValueId v);
   bool Valid(ValueId v) const;
   storage::DataType TypeOf(ValueId v) const;
+  bool HasCall(ValueId v) const;
+  bool AnyCallAfterFirst(const std::vector<ValueId>& args) const;
 
   std::vector<Value> values_;
   std::vector<Instr> instrs_;
+  std::vector<CallSite> calls_;
   size_t num_regs_ = 0;
   std::vector<size_t> slots_;
 };
 
-/// Per-stream evaluation scratch: the register file plus gather
-/// buffers. One VM serves any number of programs/batches; register
-/// storage is sized to the largest (program, batch) seen and reused.
-/// Not thread-safe — each stream owns its VM, mirroring how each row
-/// stream owns its Datum scratch.
+/// Per-stream evaluation scratch: the register file. One VM serves
+/// any number of programs/batches; register storage is sized to the
+/// largest (program, batch) seen and reused. Not thread-safe — each
+/// stream owns its VM. `ctx` (may be null) is polled between the
+/// slices of a UDF call.
 class ExprVM {
  public:
+  explicit ExprVM(const QueryContext* ctx = nullptr) : ctx_(ctx) {}
+
   /// One register's lanes. Exactly one of d/i is meaningful, by the
   /// instruction's type; null lanes hold 0/0.0.
   struct Reg {
@@ -197,13 +236,12 @@ class ExprVM {
     bool has_nulls = false;
   };
 
-  /// Evaluates `prog` over `n` materialized rows (gathering by slot).
-  void EvalRows(const CompiledExpr& prog, const storage::Row* rows, size_t n);
-
   /// Evaluates `prog` over column spans. `slot_to_col[slot]` maps each
-  /// referenced input slot to its index in `in`'s columns.
-  void EvalSpans(const CompiledExpr& prog, const ColumnSpanBatch& in,
-                 const std::vector<int>& slot_to_col, size_t n);
+  /// referenced input slot to its index in `in`'s columns. Fails only
+  /// through a UDF call: the UDF's error, or the context's
+  /// cancellation/deadline status.
+  Status EvalSpans(const CompiledExpr& prog, const ColumnSpanBatch& in,
+                   const std::vector<int>& slot_to_col, size_t n);
 
   /// The result register after an Eval call for `prog`.
   const Reg& result(const CompiledExpr& prog) const {
@@ -224,7 +262,11 @@ class ExprVM {
                          uint8_t* keep) const;
 
  private:
+  Status RunCall(const CompiledExpr& prog, const Instr& ins, size_t n);
+
+  const QueryContext* ctx_;
   std::vector<Reg> regs_;
+  std::vector<udf::SpanArg> call_args_;
 };
 
 /// Boxes one lane of a VM register as a Datum of `type`.
@@ -251,8 +293,8 @@ class BytecodeCache {
 
 /// Compiles `expr` to bytecode, interning through `cache` when given.
 /// Returns nullptr — interpreted fallback — when the tree contains a
-/// construct the bytecode cannot express (VARCHAR operands, scalar
-/// UDFs, aggregate refs, mixed-type COALESCE/CASE) or when the
+/// construct the bytecode cannot express (VARCHAR operands or UDF
+/// results, aggregate refs, mixed-type COALESCE/CASE) or when the
 /// `expr_compile` failpoint is armed.
 CompiledExprPtr CompileExpr(const BoundExpr& expr, BytecodeCache* cache);
 

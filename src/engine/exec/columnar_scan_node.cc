@@ -187,6 +187,7 @@ std::string ColumnarScanNode::annotation() const {
       out += filters_[i].text;
     }
   }
+  if (!broadcast_note_.empty()) out += ", broadcast: " + broadcast_note_;
   return out;
 }
 

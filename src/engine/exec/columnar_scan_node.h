@@ -45,7 +45,8 @@ ColumnStreamPtr OpenColumnarScanStream(const storage::Table* partition,
 
 /// Leaf of the columnar pipeline: scans a partitioned table's column
 /// chunks as typed spans (no Datum boxing) and applies pushed-down
-/// simple comparisons by span compaction. Driven through
+/// simple comparisons by span compaction. With no projected column
+/// (COUNT(*), constants) its batches carry only row counts. Driven through
 /// OpenColumnStream by the columnar consumers (VectorFilter,
 /// VectorProject, VectorHashAggregate); the row-oriented OpenStream is
 /// deliberately unimplemented.
@@ -77,6 +78,12 @@ class ColumnarScanNode : public PlanNode {
   const std::vector<size_t>& slots() const { return slots_; }
   const storage::Schema& schema() const { return table_->schema(); }
 
+  /// EXPLAIN text naming the one-row tables whose columns the
+  /// pipeline above binds as constants; empty when there are none.
+  void set_broadcast_note(std::string note) {
+    broadcast_note_ = std::move(note);
+  }
+
  private:
   const storage::PartitionedTable* table_;
   std::string table_name_;
@@ -86,6 +93,7 @@ class ColumnarScanNode : public PlanNode {
   uint64_t morsel_rows_;
   const QueryContext* ctx_;
   std::vector<Morsel> grid_;
+  std::string broadcast_note_;
 };
 
 }  // namespace nlq::engine::exec

@@ -5,25 +5,19 @@
 #include <vector>
 
 #include "common/query_context.h"
-#include "engine/exec/bytecode.h"
 #include "engine/exec/plan.h"
 #include "engine/expr.h"
 
 namespace nlq::engine::exec {
 
-/// Residual WHERE filter: evaluates the bound predicate over each
-/// batch (batch expression evaluation) and compacts survivors in
-/// place. SQL semantics: a row passes when the predicate is non-NULL
-/// and non-zero.
-///
-/// When the planner compiled the predicate to bytecode, `compiled` is
-/// non-null and each batch runs through the register VM instead of the
-/// expression tree (bit-identical verdicts — same NULL/zero rule).
+/// Residual WHERE filter of the row path: evaluates the bound
+/// predicate over each batch (batch expression evaluation) and
+/// compacts survivors in place. SQL semantics: a row passes when the
+/// predicate is non-NULL and non-zero.
 class FilterNode : public PlanNode {
  public:
   FilterNode(PlanNodePtr child, BoundExprPtr predicate,
              std::vector<std::string> conjunct_text,
-             CompiledExprPtr compiled = nullptr,
              const QueryContext* ctx = nullptr);
 
   const char* name() const override { return "Filter"; }
@@ -34,7 +28,6 @@ class FilterNode : public PlanNode {
  private:
   BoundExprPtr predicate_;
   std::vector<std::string> conjunct_text_;
-  CompiledExprPtr compiled_;
   const QueryContext* ctx_;
 };
 

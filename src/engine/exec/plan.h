@@ -14,9 +14,10 @@ namespace nlq::engine::exec {
 
 using storage::RowBatch;
 
-/// Rows a row-path operator (Filter, Project, HashAggregate) evaluates
-/// between two QueryContext polls, so a batch of expensive rows — a
-/// slow scalar UDF — stays cancellable mid-batch.
+/// Rows a row-path operator (Filter, Project, HashAggregate), or one
+/// bytecode UDF call, evaluates between two QueryContext polls, so a
+/// batch of expensive rows — a slow scalar UDF — stays cancellable
+/// mid-batch.
 inline constexpr size_t kCancelPollRows = 256;
 
 /// A pull cursor over one parallel stream of a plan node. Streams of

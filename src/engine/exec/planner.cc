@@ -33,17 +33,16 @@ using storage::Schema;
 
 /// FROM-clause resolution: the first table drives the parallel scan;
 /// the remaining (small model) tables are materialized for the cross
-/// product.
+/// product, or broadcast as constants.
 struct FromInputs {
   PartitionedTable* driver = nullptr;
   std::vector<std::vector<Row>> small_tables;
   std::vector<const Schema*> small_schemas;
   std::vector<std::string> small_aliases;
-  BindingScope scope;
-  BoundExprPtr residual_where;  // WHERE after pushdown (may be null)
+  BindingScope scope;  // the joined row: driver, then each small table
+  std::vector<const Expr*> residual_conjuncts;  // WHERE after pushdown
 
   std::vector<std::vector<std::string>> pushed_texts;  // per small table
-  std::vector<std::string> residual_texts;
 };
 
 StatusOr<FromInputs> PrepareFrom(const SelectStatement& select,
@@ -81,8 +80,8 @@ void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out) {
 /// cross-joined with a k-row model table k times under `Lj.j = j`
 /// predicates — would enumerate k^k combinations per X row. This is
 /// the cross-join analogue of the paper's Section 3.6 join
-/// optimizations. The remaining conjuncts are bound against the full
-/// scope into `inputs->residual_where`.
+/// optimizations. The remaining conjuncts are left, unbound, in
+/// `inputs->residual_conjuncts`.
 Status ApplyWherePushdown(const SelectStatement& select,
                           const udf::UdfRegistry* registry,
                           FromInputs* inputs) {
@@ -90,7 +89,6 @@ Status ApplyWherePushdown(const SelectStatement& select,
   std::vector<const Expr*> conjuncts;
   SplitConjuncts(select.where.get(), &conjuncts);
 
-  std::vector<const Expr*> residual;
   for (const Expr* conjunct : conjuncts) {
     if (ContainsAggregate(*conjunct, registry)) {
       return Status::InvalidArgument("aggregates are not allowed in WHERE");
@@ -118,23 +116,31 @@ Status ApplyWherePushdown(const SelectStatement& select,
       inputs->pushed_texts[s].push_back(conjunct->ToString());
       pushed = true;
     }
-    if (!pushed) {
-      residual.push_back(conjunct);
-      inputs->residual_texts.push_back(conjunct->ToString());
-    }
-  }
-
-  if (!residual.empty()) {
-    // Re-AND the residual conjuncts and bind against the full scope.
-    ExprPtr combined = residual[0]->Clone();
-    for (size_t i = 1; i < residual.size(); ++i) {
-      combined = MakeBinary(BinaryOp::kAnd, std::move(combined),
-                            residual[i]->Clone());
-    }
-    NLQ_ASSIGN_OR_RETURN(inputs->residual_where,
-                         BindRowExpr(*combined, inputs->scope, registry));
+    if (!pushed) inputs->residual_conjuncts.push_back(conjunct);
   }
   return Status::OK();
+}
+
+/// Re-ANDs `conjuncts` in order and binds them against `scope`; null
+/// when there are none.
+StatusOr<BoundExprPtr> BindConjuncts(const std::vector<const Expr*>& conjuncts,
+                                     const BindingScope& scope,
+                                     const udf::UdfRegistry* registry) {
+  if (conjuncts.empty()) return BoundExprPtr();
+  ExprPtr combined = conjuncts[0]->Clone();
+  for (size_t i = 1; i < conjuncts.size(); ++i) {
+    combined = MakeBinary(BinaryOp::kAnd, std::move(combined),
+                          conjuncts[i]->Clone());
+  }
+  return BindRowExpr(*combined, scope, registry);
+}
+
+/// EXPLAIN text of each conjunct, for Filter and VectorFilter.
+std::vector<std::string> ConjunctTexts(
+    const std::vector<const Expr*>& conjuncts) {
+  std::vector<std::string> texts;
+  for (const Expr* conjunct : conjuncts) texts.push_back(conjunct->ToString());
+  return texts;
 }
 
 std::string ResultColumnName(const SelectItem& item, size_t index) {
@@ -207,8 +213,8 @@ bool NumericLiteral(const Expr& e, double* v) {
 }
 
 /// Extracts one WHERE conjunct as a scan-pushable simple comparison
-/// (`column <op> numeric-literal`, either operand order) against the
-/// projected slot list. No slot is appended on failure.
+/// (`driver-column <op> numeric-literal`, either operand order) against
+/// the projected slot list. No slot is appended on failure.
 bool TrySimpleSpanFilter(const Expr& conj, const BindingScope& scope,
                          std::vector<size_t>* slots, ColumnFilter* f) {
   if (conj.kind != ExprKind::kBinary) return false;
@@ -226,7 +232,8 @@ bool TrySimpleSpanFilter(const Expr& conj, const BindingScope& scope,
   }
   StatusOr<std::pair<size_t, DataType>> resolved =
       scope.Resolve(colref->table, colref->column);
-  if (!resolved.ok() || resolved.value().second == DataType::kVarchar) {
+  if (!resolved.ok() || resolved.value().second == DataType::kVarchar ||
+      scope.ConstantAt(resolved.value().first) != nullptr) {
     return false;
   }
   f->col = ProjectSlot(slots, resolved.value().first);
@@ -253,36 +260,38 @@ struct VectorPipeline {
   std::vector<CompiledExprPtr> proj_progs;
 };
 
-/// Splits the WHERE clause for the pipeline: simple comparisons become
-/// scan-pushed span filters, everything else is re-ANDed, bound and
-/// compiled into one VectorFilter program. Returns false when a
-/// residual conjunct does not compile (pipeline ineligible).
-bool SplitWhereForPipeline(const SelectStatement& select,
-                           const FromInputs& inputs,
+/// Splits the WHERE conjuncts left after small-table pushdown for the
+/// pipeline: simple comparisons become scan-pushed span filters,
+/// everything else is re-ANDed, bound and compiled into one
+/// VectorFilter program. Returns false when a residual conjunct does
+/// not compile (pipeline ineligible).
+///
+/// The interpreter runs a conjunct on every row no earlier conjunct
+/// made FALSE, NULL rows included, while a scan filter drops NULL rows
+/// too. A scalar UDF call may fail, so it must see the same rows on
+/// both paths: a call is allowed in the first conjunct only, and then
+/// no conjunct is pushed into the scan ahead of it.
+bool SplitWhereForPipeline(const std::vector<const Expr*>& conjuncts,
+                           const BindingScope& scope,
                            const udf::UdfRegistry* registry,
                            BytecodeCache* cache, VectorPipeline* p) {
-  if (select.where == nullptr) return true;
-  std::vector<const Expr*> conjuncts;
-  SplitConjuncts(select.where.get(), &conjuncts);
+  for (size_t i = 1; i < conjuncts.size(); ++i) {
+    if (ContainsScalarUdfCall(*conjuncts[i], registry)) return false;
+  }
+  const bool call_first =
+      !conjuncts.empty() && ContainsScalarUdfCall(*conjuncts[0], registry);
   std::vector<const Expr*> residual;
   for (const Expr* conj : conjuncts) {
     ColumnFilter f;
-    if (TrySimpleSpanFilter(*conj, inputs.scope, &p->slots, &f)) {
+    if (!call_first && TrySimpleSpanFilter(*conj, scope, &p->slots, &f)) {
       p->scan_filters.push_back(std::move(f));
     } else {
       residual.push_back(conj);
     }
   }
   if (residual.empty()) return true;
-  ExprPtr combined = residual[0]->Clone();
-  p->where_texts.push_back(residual[0]->ToString());
-  for (size_t i = 1; i < residual.size(); ++i) {
-    combined = MakeBinary(BinaryOp::kAnd, std::move(combined),
-                          residual[i]->Clone());
-    p->where_texts.push_back(residual[i]->ToString());
-  }
-  StatusOr<BoundExprPtr> bound =
-      BindRowExpr(*combined, inputs.scope, registry);
+  p->where_texts = ConjunctTexts(residual);
+  StatusOr<BoundExprPtr> bound = BindConjuncts(residual, scope, registry);
   if (!bound.ok()) return false;
   p->where_prog = CompileExpr(*bound.value(), cache);
   return p->where_prog != nullptr;
@@ -290,9 +299,9 @@ bool SplitWhereForPipeline(const SelectStatement& select,
 
 /// Seals the fragment: collects every program's referenced slots into
 /// the scan projection and builds the slot -> span-column map. A
-/// fragment that touches no columns at all (pure COUNT(*), constant
-/// projections) stays on the row path, which decodes nothing either.
-bool FinishPipeline(const FromInputs& inputs, VectorPipeline* p) {
+/// fragment that references no column (COUNT(*), constants) scans no
+/// column: its batches carry only row counts.
+void FinishPipeline(const BindingScope& scope, VectorPipeline* p) {
   auto collect = [&](const CompiledExprPtr& prog) {
     if (prog == nullptr) return;
     for (const size_t slot : prog->referenced_slots()) {
@@ -305,13 +314,11 @@ bool FinishPipeline(const FromInputs& inputs, VectorPipeline* p) {
     for (const auto& prog : spec.progs) collect(prog);
   }
   for (const auto& prog : p->proj_progs) collect(prog);
-  if (p->slots.empty()) return false;
-  p->slot_to_col.assign(inputs.scope.total_slots(), -1);
+  p->slot_to_col.assign(scope.total_slots(), -1);
   for (size_t i = 0; i < p->slots.size(); ++i) {
     p->slot_to_col[p->slots[i]] = static_cast<int>(i);
   }
   p->eligible = true;
-  return true;
 }
 
 /// Columnar plan for aggregates: GROUP BY keys and aggregate arguments
@@ -319,14 +326,14 @@ bool FinishPipeline(const FromInputs& inputs, VectorPipeline* p) {
 /// leading literal arguments as constants). HAVING and the SELECT
 /// projections operate per group on (keys, aggs) rows and stay
 /// interpreted.
-VectorPipeline TryVectorAggregate(const SelectStatement& select,
-                                  const FromInputs& inputs,
+VectorPipeline TryVectorAggregate(const FromInputs& inputs,
+                                  const BindingScope& scope,
                                   const BoundAggregation& agg,
                                   const udf::UdfRegistry* registry,
                                   BytecodeCache* cache) {
   VectorPipeline p;
-  if (inputs.driver == nullptr || !inputs.small_tables.empty()) return p;
-  if (!SplitWhereForPipeline(select, inputs, registry, cache, &p)) {
+  if (!SplitWhereForPipeline(inputs.residual_conjuncts, scope, registry, cache,
+                             &p)) {
     return VectorPipeline{};
   }
   for (const BoundExprPtr& key : agg.key_exprs) {
@@ -354,7 +361,7 @@ VectorPipeline TryVectorAggregate(const SelectStatement& select,
     }
     p.spec_args.push_back(std::move(vs));
   }
-  if (!FinishPipeline(inputs, &p)) return VectorPipeline{};
+  FinishPipeline(scope, &p);
   return p;
 }
 
@@ -384,14 +391,14 @@ bool ViewShaped(const BoundAggregation& agg, bool has_having,
 
 /// Pipeline form for plain projections: every SELECT item's bound
 /// expression must compile.
-VectorPipeline TryVectorProjection(const SelectStatement& select,
-                                   const FromInputs& inputs,
+VectorPipeline TryVectorProjection(const FromInputs& inputs,
+                                   const BindingScope& scope,
                                    const std::vector<BoundExprPtr>& bound,
                                    const udf::UdfRegistry* registry,
                                    BytecodeCache* cache) {
   VectorPipeline p;
-  if (inputs.driver == nullptr || !inputs.small_tables.empty()) return p;
-  if (!SplitWhereForPipeline(select, inputs, registry, cache, &p)) {
+  if (!SplitWhereForPipeline(inputs.residual_conjuncts, scope, registry, cache,
+                             &p)) {
     return VectorPipeline{};
   }
   for (const BoundExprPtr& expr : bound) {
@@ -399,8 +406,44 @@ VectorPipeline TryVectorProjection(const SelectStatement& select,
     if (prog == nullptr) return VectorPipeline{};
     p.proj_progs.push_back(std::move(prog));
   }
-  if (!FinishPipeline(inputs, &p)) return VectorPipeline{};
+  FinishPipeline(scope, &p);
   return p;
+}
+
+/// Broadcast decision: when every small table holds exactly one row
+/// after pushdown, fills `scope` with the driver's input slots and each
+/// small table's row as constants, so the statement plans as a
+/// single-table pipeline. False (scope untouched) otherwise.
+bool BroadcastScope(const SelectStatement& select, const FromInputs& inputs,
+                    BindingScope* scope) {
+  for (const std::vector<Row>& rows : inputs.small_tables) {
+    if (rows.size() != 1) return false;
+  }
+  scope->AddTable(select.from[0].alias, &inputs.driver->schema());
+  for (size_t s = 0; s < inputs.small_tables.size(); ++s) {
+    scope->AddConstantTable(inputs.small_aliases[s], inputs.small_schemas[s],
+                            &inputs.small_tables[s][0]);
+  }
+  return true;
+}
+
+/// EXPLAIN text naming each broadcast table and its pushed predicates,
+/// e.g. "M AS m1 (1 row after pushdown: (m1.j = 1))".
+std::string BroadcastNote(const SelectStatement& select,
+                          const FromInputs& inputs) {
+  std::string out;
+  for (size_t s = 0; s < inputs.small_tables.size(); ++s) {
+    if (s > 0) out += ", ";
+    out += select.from[s + 1].table_name + " AS " + inputs.small_aliases[s] +
+           " (1 row";
+    const std::vector<std::string>& pushed = inputs.pushed_texts[s];
+    for (size_t i = 0; i < pushed.size(); ++i) {
+      out += i == 0 ? " after pushdown: " : " AND ";
+      out += pushed[i];
+    }
+    out += ")";
+  }
+  return out;
 }
 
 }  // namespace
@@ -423,44 +466,81 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
   NLQ_ASSIGN_OR_RETURN(FromInputs inputs, PrepareFrom(select, *catalog_));
   NLQ_RETURN_IF_ERROR(ApplyWherePushdown(select, registry_, &inputs));
   const bool is_aggregate = IsAggregateSelect(select, registry_);
-  const bool vectorize = enable_expr_compile_;
-
-  // Leaf: parallel partition scan, or the constant input of a
-  // FROM-less query (one empty row; none under aggregation, where an
-  // empty input still finalizes one global group).
-  PlanNodePtr node;
-  if (inputs.driver != nullptr) {
-    node = std::make_unique<ParallelScanNode>(
-        inputs.driver, select.from[0].table_name, batch_capacity_,
-        morsel_rows_, ctx_);
-  } else {
-    node = std::make_unique<ConstantInputNode>(is_aggregate ? 0 : 1);
+  bool has_star = false;
+  for (const SelectItem& item : select.items) {
+    has_star = has_star || item.expr == nullptr;
   }
 
-  // Cross joins against the materialized (pushdown-filtered) small
-  // tables, in FROM order.
-  for (size_t s = 0; s < inputs.small_tables.size(); ++s) {
-    const std::string display =
-        select.from[s + 1].table_name + " AS " + inputs.small_aliases[s];
-    node = std::make_unique<CrossJoinNode>(
-        std::move(node), std::move(inputs.small_tables[s]),
-        inputs.small_schemas[s]->num_columns(), display,
-        std::move(inputs.pushed_texts[s]));
-  }
+  // Small FROM tables that each hold exactly one row after pushdown
+  // are broadcast: their columns bind as constants, so the statement
+  // reads the driver table alone — on the compiled pipeline when its
+  // expressions compile, on the row path without a CrossJoin when they
+  // do not. Any other small table, `SELECT *` (which copies the joined
+  // row) and force_interpreted (the row path is the oracle) bind
+  // against the joined row and keep the CrossJoin.
+  BindingScope broadcast_scope;
+  const bool broadcast =
+      enable_expr_compile_ && inputs.driver != nullptr && !has_star &&
+      !inputs.small_tables.empty() &&
+      BroadcastScope(select, inputs, &broadcast_scope);
+  const BindingScope& scope = broadcast ? broadcast_scope : inputs.scope;
+  const bool pipeline = enable_expr_compile_ && inputs.driver != nullptr &&
+                        !has_star &&
+                        (inputs.small_tables.empty() || broadcast);
+  NLQ_ASSIGN_OR_RETURN(
+      BoundExprPtr residual_where,
+      BindConjuncts(inputs.residual_conjuncts, scope, registry_));
 
-  // Residual WHERE. The predicate gets a compiled program when its
-  // tree supports it; the interpreted tree stays as the fallback (and
-  // as EXPLAIN's source text).
-  if (inputs.residual_where != nullptr) {
-    CompiledExprPtr pred;
-    if (vectorize) {
-      pred = CompileExpr(*inputs.residual_where, bytecode_cache_);
+  // Row-path input: parallel partition scan (or the constant input of
+  // a FROM-less query: one empty row; none under aggregation, where an
+  // empty input still finalizes one global group), cross joins against
+  // the materialized small tables in FROM order unless they are
+  // broadcast, the residual WHERE.
+  auto row_input = [&]() -> PlanNodePtr {
+    PlanNodePtr node;
+    if (inputs.driver != nullptr) {
+      auto scan = std::make_unique<ParallelScanNode>(
+          inputs.driver, select.from[0].table_name, batch_capacity_,
+          morsel_rows_, ctx_);
+      if (broadcast) scan->set_broadcast_note(BroadcastNote(select, inputs));
+      node = std::move(scan);
+    } else {
+      node = std::make_unique<ConstantInputNode>(is_aggregate ? 0 : 1);
     }
-    node = std::make_unique<FilterNode>(
-        std::move(node), std::move(inputs.residual_where),
-        std::move(inputs.residual_texts), std::move(pred), ctx_);
-  }
+    for (size_t s = 0; !broadcast && s < inputs.small_tables.size(); ++s) {
+      const std::string display =
+          select.from[s + 1].table_name + " AS " + inputs.small_aliases[s];
+      node = std::make_unique<CrossJoinNode>(
+          std::move(node), std::move(inputs.small_tables[s]),
+          inputs.small_schemas[s]->num_columns(), display,
+          std::move(inputs.pushed_texts[s]));
+    }
+    if (residual_where != nullptr) {
+      node = std::make_unique<FilterNode>(
+          std::move(node), std::move(residual_where),
+          ConjunctTexts(inputs.residual_conjuncts), ctx_);
+    }
+    return node;
+  };
 
+  // Columnar input: ColumnarScan (simple comparisons pushed into it,
+  // broadcast tables named on it), then the remaining WHERE conjuncts
+  // as one compiled VectorFilter program.
+  auto columnar_input = [&](VectorPipeline* vp) -> PlanNodePtr {
+    auto scan = std::make_unique<ColumnarScanNode>(
+        inputs.driver, select.from[0].table_name, std::move(vp->slots),
+        std::move(vp->scan_filters), batch_capacity_, morsel_rows_, ctx_);
+    if (broadcast) scan->set_broadcast_note(BroadcastNote(select, inputs));
+    PlanNodePtr node = std::move(scan);
+    if (vp->where_prog != nullptr) {
+      node = std::make_unique<VectorFilterNode>(
+          std::move(node), std::move(vp->where_prog), vp->slot_to_col,
+          std::move(vp->where_texts), ctx_);
+    }
+    return node;
+  };
+
+  PlanNodePtr node;
   std::vector<storage::Column> out_cols;
   if (is_aggregate) {
     std::vector<const Expr*> select_exprs;
@@ -479,21 +559,18 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
 
     NLQ_ASSIGN_OR_RETURN(
         BoundAggregation agg,
-        BindAggregation(select_exprs, group_by, inputs.scope, registry_));
+        BindAggregation(select_exprs, group_by, scope, registry_));
+    VectorPipeline vp;
+    if (pipeline) {
+      vp = TryVectorAggregate(inputs, scope, agg, registry_, bytecode_cache_);
+    }
     for (size_t i = 0; i < select.items.size(); ++i) {
       out_cols.push_back({ResultColumnName(select.items[i], i),
                           agg.projections[i]->result_type()});
     }
-    VectorPipeline vp;
-    if (vectorize) {
-      vp = TryVectorAggregate(select, inputs, agg, registry_,
-                              bytecode_cache_);
-    }
     if (vp.eligible) {
       // Columnar aggregate: GROUP BY keys and aggregate arguments run
-      // compiled over span batches; simple comparisons filter inside
-      // the scan, the remaining WHERE conjuncts run as one compiled
-      // VectorFilter program.
+      // compiled over span batches.
       //
       // Maintained-view decision (DESIGN.md §13): a global n,L,Q
       // aggregate over a resident table with relocatable states is
@@ -522,18 +599,10 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
           }
         }
       }
-      PlanNodePtr chain = std::make_unique<ColumnarScanNode>(
-          inputs.driver, select.from[0].table_name, std::move(vp.slots),
-          std::move(vp.scan_filters), batch_capacity_, morsel_rows_, ctx_);
-      if (vp.where_prog != nullptr) {
-        chain = std::make_unique<VectorFilterNode>(
-            std::move(chain), std::move(vp.where_prog), vp.slot_to_col,
-            std::move(vp.where_texts), ctx_);
-      }
+      PlanNodePtr chain = columnar_input(&vp);
       auto vagg = std::make_unique<VectorHashAggregateNode>(
-          std::move(chain), std::move(agg),
-          std::move(vp.key_progs), std::move(vp.spec_args),
-          std::move(vp.slot_to_col), has_having,
+          std::move(chain), std::move(agg), std::move(vp.key_progs),
+          std::move(vp.spec_args), std::move(vp.slot_to_col), has_having,
           has_having ? select.having->ToString() : std::string(),
           select.items.size(), pool_, ctx_);
       vagg->set_view_note(std::move(view_note));
@@ -541,65 +610,43 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
       node = std::move(vagg);
     } else {
       node = std::make_unique<HashAggregateNode>(
-          std::move(node), std::move(agg), has_having,
+          row_input(), std::move(agg), has_having,
           has_having ? select.having->ToString() : std::string(),
           select.items.size(), pool_, batch_capacity_, ctx_);
     }
   } else {
-    // Expand the select list (handling bare `*`).
+    // Expand the select list (bare `*` copies the joined row, so it
+    // always plans the row path).
     std::vector<BoundExprPtr> projections;
-    bool has_star = false;
     for (size_t i = 0; i < select.items.size(); ++i) {
       const SelectItem& item = select.items[i];
-      if (item.expr == nullptr) {  // bare *
-        has_star = true;
-        for (const auto& col : inputs.scope.AllColumns()) {
-          out_cols.push_back(col);
-        }
+      if (item.expr == nullptr) {
+        for (const auto& col : scope.AllColumns()) out_cols.push_back(col);
         continue;
       }
       NLQ_ASSIGN_OR_RETURN(BoundExprPtr bound,
-                           BindRowExpr(*item.expr, inputs.scope, registry_));
+                           BindRowExpr(*item.expr, scope, registry_));
       out_cols.push_back({ResultColumnName(item, i), bound->result_type()});
       projections.push_back(std::move(bound));
     }
     VectorPipeline vp;
-    if (vectorize && !has_star) {
-      vp = TryVectorProjection(select, inputs, projections, registry_,
+    if (pipeline) {
+      vp = TryVectorProjection(inputs, scope, projections, registry_,
                                bytecode_cache_);
     }
     if (vp.eligible) {
       // General columnar pipeline: projections (and non-pushable WHERE
       // conjuncts) run compiled over span batches.
-      node = std::make_unique<ColumnarScanNode>(
-          inputs.driver, select.from[0].table_name, std::move(vp.slots),
-          std::move(vp.scan_filters), batch_capacity_, morsel_rows_, ctx_);
-      if (vp.where_prog != nullptr) {
-        node = std::make_unique<VectorFilterNode>(
-            std::move(node), std::move(vp.where_prog), vp.slot_to_col,
-            std::move(vp.where_texts), ctx_);
-      }
-      node = std::make_unique<VectorProjectNode>(std::move(node),
+      PlanNodePtr chain = columnar_input(&vp);
+      node = std::make_unique<VectorProjectNode>(std::move(chain),
                                                  std::move(vp.proj_progs),
                                                  std::move(vp.slot_to_col),
                                                  ctx_);
     } else if (has_star) {
-      // SELECT * forwards the joined row (star mixed with expressions
-      // is not supported: star copies the joined row).
-      node = std::make_unique<ProjectNode>(std::move(node));
+      node = std::make_unique<ProjectNode>(row_input());
     } else {
-      // Row path: each projection still gets a compiled program where
-      // its tree supports one; nullptr entries run interpreted.
-      std::vector<CompiledExprPtr> compiled;
-      if (vectorize) {
-        compiled.reserve(projections.size());
-        for (const BoundExprPtr& expr : projections) {
-          compiled.push_back(CompileExpr(*expr, bytecode_cache_));
-        }
-      }
-      node = std::make_unique<ProjectNode>(std::move(node),
-                                           std::move(projections),
-                                           std::move(compiled), ctx_);
+      node = std::make_unique<ProjectNode>(row_input(), std::move(projections),
+                                           ctx_);
     }
     if (node->num_streams() > 1) {
       node = std::make_unique<GatherNode>(std::move(node), pool_,

@@ -37,8 +37,10 @@ struct PhysicalPlan {
 /// the driver table; only the small cross-join sides are
 /// materialized, exactly as the previous monolithic executor did.
 ///
-/// Single-table SELECTs whose expressions all compile to bytecode run
-/// on the columnar pipeline instead:
+/// SELECTs over one table — or over one table plus small tables that
+/// each hold exactly one row after pushdown, whose columns then bind as
+/// constants — run on the columnar pipeline instead when their
+/// expressions all compile to bytecode (scalar UDFs included):
 ///
 ///   [Limit] <- [Sort] <- VectorHashAggregate <- [VectorFilter]
 ///       <- ColumnarScan                                          or
@@ -51,11 +53,12 @@ struct PhysicalPlan {
 /// is the one columnar aggregate operator: grouped or global (the
 /// paper's n,L,Q summary queries, whose span-capable UDFs take whole
 /// batches), and — with view maintenance on — serving eligible global
-/// aggregates from the maintained-view registry. Queries that stay on
-/// the row path (joins, ORDER-BY-only shapes, scalar UDFs next to
-/// arithmetic) still get per-expression compiled programs inside
-/// Filter/Project wherever their subexpressions compile; the pure
-/// interpreted row path is the correctness oracle for all of it.
+/// aggregates from the maintained-view registry. The interpreted row
+/// path serves cross joins against tables of 0 or >= 2 rows, VARCHAR
+/// expressions, `SELECT *` and scalar UDF calls in lazily evaluated
+/// operands (DESIGN.md §11), and is the correctness oracle for all of
+/// it; one-row tables stay broadcast there too, so a broadcast
+/// statement never plans a CrossJoin.
 class Planner {
  public:
   /// `morsel_rows` is the scan-morsel size handed to the leaf nodes
@@ -65,8 +68,8 @@ class Planner {
   /// and memory-hungry operators charge its MemoryTracker. The context
   /// must outlive the plan's execution.
   /// `enable_expr_compile` gates every vectorized choice (the columnar
-  /// pipeline, per-node programs): off plans the pure interpreted row
-  /// path, the differential oracle.
+  /// pipeline and broadcasting one-row tables): off plans the pure
+  /// interpreted row path, the differential oracle.
   /// `bytecode_cache` — optional — deduplicates compiled programs
   /// across statements; it must outlive the plan.
   /// `views` — optional — is the maintained-view registry: when set,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/metrics.h"
 #include "common/strings.h"
 
 namespace nlq::engine::exec {
@@ -15,12 +14,8 @@ class ProjectStream : public ExecStream {
  public:
   ProjectStream(ExecStreamPtr input,
                 const std::vector<BoundExprPtr>* projections,
-                const std::vector<CompiledExprPtr>* compiled,
                 const QueryContext* ctx)
-      : input_(std::move(input)),
-        projections_(projections),
-        compiled_(compiled),
-        ctx_(ctx) {}
+      : input_(std::move(input)), projections_(projections), ctx_(ctx) {}
 
   StatusOr<bool> Next(RowBatch* out) override {
     out->Clear();
@@ -32,7 +27,6 @@ class ProjectStream : public ExecStream {
     const size_t n = in_batch_.size();
     const size_t width = projections_->size();
     for (size_t i = 0; i < n; ++i) out->AppendRow().resize(width);
-    bool any_compiled = false;
     // Column-at-a-time per chunk, polling the context between chunks.
     for (size_t begin = 0; begin < n; begin += kCancelPollRows) {
       if (begin > 0 && ctx_ != nullptr) {
@@ -43,23 +37,12 @@ class ProjectStream : public ExecStream {
       Status error;
       column_.resize(m);
       for (size_t c = 0; c < width; ++c) {
-        const CompiledExpr* prog =
-            c < compiled_->size() ? (*compiled_)[c].get() : nullptr;
-        if (prog != nullptr) {
-          vm_.EvalRows(*prog, rows, m);
-          vm_.BoxResult(*prog, m, column_.data());
-          any_compiled = true;
-        } else {
-          (*projections_)[c]->EvalBatch(rows, m, &error, column_.data());
-        }
+        (*projections_)[c]->EvalBatch(rows, m, &error, column_.data());
         for (size_t i = 0; i < m; ++i) {
           out->row(begin + i)[c] = std::move(column_[i]);
         }
       }
       NLQ_RETURN_IF_ERROR(error);
-    }
-    if (any_compiled && ctx_ != nullptr && ctx_->stats() != nullptr) {
-      ctx_->stats()->rows_vectorized.fetch_add(n, std::memory_order_relaxed);
     }
     return true;
   }
@@ -67,22 +50,18 @@ class ProjectStream : public ExecStream {
  private:
   ExecStreamPtr input_;
   const std::vector<BoundExprPtr>* projections_;
-  const std::vector<CompiledExprPtr>* compiled_;
   const QueryContext* ctx_;
   RowBatch in_batch_{0};
   std::vector<Datum> column_;
-  ExprVM vm_;
 };
 
 }  // namespace
 
 ProjectNode::ProjectNode(PlanNodePtr child,
                          std::vector<BoundExprPtr> projections,
-                         std::vector<CompiledExprPtr> compiled,
                          const QueryContext* ctx)
     : PlanNode(std::move(child)),
       projections_(std::move(projections)),
-      compiled_(std::move(compiled)),
       pass_through_(false),
       ctx_(ctx) {}
 
@@ -91,19 +70,7 @@ ProjectNode::ProjectNode(PlanNodePtr child)
 
 std::string ProjectNode::annotation() const {
   if (pass_through_) return "*";
-  std::string out = StringPrintf("%zu column(s)", projections_.size());
-  size_t num_compiled = 0;
-  size_t ops = 0;
-  for (const CompiledExprPtr& prog : compiled_) {
-    if (prog == nullptr) continue;
-    ++num_compiled;
-    ops += prog->num_instructions();
-  }
-  if (num_compiled > 0) {
-    out += StringPrintf("; compiled %zu/%zu, %zu op(s)", num_compiled,
-                        projections_.size(), ops);
-  }
-  return out;
+  return StringPrintf("%zu column(s)", projections_.size());
 }
 
 size_t ProjectNode::output_width() const {
@@ -114,7 +81,7 @@ StatusOr<ExecStreamPtr> ProjectNode::OpenStreamImpl(size_t s) const {
   NLQ_ASSIGN_OR_RETURN(ExecStreamPtr input, child_->OpenStream(s));
   if (pass_through_) return input;  // forward child batches unchanged
   return ExecStreamPtr(
-      new ProjectStream(std::move(input), &projections_, &compiled_, ctx_));
+      new ProjectStream(std::move(input), &projections_, ctx_));
 }
 
 }  // namespace nlq::engine::exec

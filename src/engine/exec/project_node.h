@@ -5,29 +5,23 @@
 #include <vector>
 
 #include "common/query_context.h"
-#include "engine/exec/bytecode.h"
 #include "engine/exec/plan.h"
 #include "engine/expr.h"
 
 namespace nlq::engine::exec {
 
-/// SELECT-list projection. Each output column's expression is
-/// evaluated column-at-a-time over the batch (EvalBatch), hoisting
-/// the expression-tree dispatch out of the per-row loop.
-///
-/// When the planner compiled some projections to bytecode, `compiled`
-/// carries one program per column (nullptr entries stay interpreted —
-/// e.g. a scalar-UDF column next to arithmetic ones) and those columns
-/// run through the register VM.
+/// SELECT-list projection of the row path. Each output column's
+/// expression is evaluated column-at-a-time over the batch
+/// (EvalBatch), hoisting the expression-tree dispatch out of the
+/// per-row loop.
 ///
 /// `SELECT *` uses pass-through mode: input rows are forwarded
 /// unchanged (star mixed with expressions is not supported, matching
 /// the previous executor).
 class ProjectNode : public PlanNode {
  public:
-  /// Projection form. `compiled` is empty or parallel to projections.
+  /// Projection form.
   ProjectNode(PlanNodePtr child, std::vector<BoundExprPtr> projections,
-              std::vector<CompiledExprPtr> compiled = {},
               const QueryContext* ctx = nullptr);
 
   /// Pass-through (`SELECT *`) form.
@@ -40,7 +34,6 @@ class ProjectNode : public PlanNode {
 
  private:
   std::vector<BoundExprPtr> projections_;
-  std::vector<CompiledExprPtr> compiled_;
   bool pass_through_;
   const QueryContext* ctx_ = nullptr;
 };

@@ -66,11 +66,13 @@ ParallelScanNode::ParallelScanNode(const storage::PartitionedTable* table,
       grid_(BuildMorselGrid(*table, morsel_rows)) {}
 
 std::string ParallelScanNode::annotation() const {
-  return StringPrintf(
+  std::string out = StringPrintf(
       "%s: %llu rows, %zu partitions, batch %zu, morsel %llu (%zu morsel(s))",
       table_name_.c_str(), static_cast<unsigned long long>(table_->num_rows()),
       table_->num_partitions(), batch_capacity_,
       static_cast<unsigned long long>(morsel_rows_), grid_.size());
+  if (!broadcast_note_.empty()) out += ", broadcast: " + broadcast_note_;
+  return out;
 }
 
 size_t ParallelScanNode::output_width() const {

@@ -2,6 +2,7 @@
 #define NLQ_ENGINE_EXEC_SCAN_NODE_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/query_context.h"
@@ -31,6 +32,12 @@ class ParallelScanNode : public PlanNode {
   size_t num_streams() const override { return grid_.size(); }
   StatusOr<ExecStreamPtr> OpenStreamImpl(size_t s) const override;
 
+  /// EXPLAIN text naming the one-row tables whose columns the
+  /// operators above bind as constants; empty when there are none.
+  void set_broadcast_note(std::string note) {
+    broadcast_note_ = std::move(note);
+  }
+
  private:
   const storage::PartitionedTable* table_;
   std::string table_name_;
@@ -38,6 +45,7 @@ class ParallelScanNode : public PlanNode {
   uint64_t morsel_rows_;
   const QueryContext* ctx_;
   std::vector<Morsel> grid_;
+  std::string broadcast_note_;
 };
 
 /// Leaf for FROM-less queries: one stream yielding `num_rows` empty

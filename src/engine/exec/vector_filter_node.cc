@@ -16,7 +16,8 @@ class VectorFilterStream : public ColumnStream {
       : input_(std::move(input)),
         compiled_(compiled),
         slot_to_col_(slot_to_col),
-        ctx_(ctx) {}
+        ctx_(ctx),
+        vm_(ctx) {}
 
   StatusOr<bool> Next(ColumnSpanBatch* out) override {
     // Keep pulling until a batch has survivors — downstream consumers
@@ -25,7 +26,7 @@ class VectorFilterStream : public ColumnStream {
       NLQ_ASSIGN_OR_RETURN(const bool more, input_->Next(out));
       if (!more) return false;
       const size_t n = out->rows;
-      vm_.EvalSpans(*compiled_, *out, *slot_to_col_, n);
+      NLQ_RETURN_IF_ERROR(vm_.EvalSpans(*compiled_, *out, *slot_to_col_, n));
       keep_.assign(n, 1);
       vm_.AndResultIntoKeep(*compiled_, n, keep_.data());
       if (ctx_ != nullptr && ctx_->stats() != nullptr) {

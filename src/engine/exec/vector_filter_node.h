@@ -14,9 +14,8 @@ namespace nlq::engine::exec {
 /// predicate program over each span batch and compacts survivors in
 /// place (ColumnarScan → VectorFilter → VectorProject /
 /// VectorHashAggregate). A row passes when the program's verdict is
-/// non-NULL and non-zero — the row-path FilterNode's rule, over the
-/// same program the row path would run, so both paths keep identical
-/// rows.
+/// non-NULL and non-zero — the row-path FilterNode's rule, so both
+/// paths keep identical rows.
 ///
 /// The planner ANDs every WHERE conjunct it could compile into one
 /// program; conjuncts expressible as simple `column op literal`

@@ -51,7 +51,7 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
       query_ctx != nullptr ? query_ctx->memory() : nullptr;
 
   ColumnSpanBatch batch;
-  SpanScratch scratch;
+  SpanScratch scratch(query_ctx);
   std::vector<std::vector<Datum>> key_cols(num_keys);
   Row key(num_keys);
   std::vector<AggState*> group_of;
@@ -69,7 +69,8 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
                                               batch, state, &scratch));
     } else {
       for (size_t k = 0; k < num_keys; ++k) {
-        scratch.vm.EvalSpans(*key_progs[k], batch, slot_to_col, n);
+        NLQ_RETURN_IF_ERROR(
+            scratch.vm.EvalSpans(*key_progs[k], batch, slot_to_col, n));
         key_cols[k].resize(n);
         scratch.vm.BoxResult(*key_progs[k], n, key_cols[k].data());
       }

@@ -21,7 +21,8 @@ class VectorProjectStream : public ExecStream {
         programs_(programs),
         slot_to_col_(slot_to_col),
         ctx_(ctx),
-        cols_(programs->size()) {}
+        cols_(programs->size()),
+        vm_(ctx) {}
 
   StatusOr<bool> Next(RowBatch* out) override {
     out->Clear();
@@ -34,7 +35,7 @@ class VectorProjectStream : public ExecStream {
       // reuses the VM's register file.
       for (size_t c = 0; c < programs_->size(); ++c) {
         const CompiledExpr& prog = *(*programs_)[c];
-        vm_.EvalSpans(prog, batch_, *slot_to_col_, n);
+        NLQ_RETURN_IF_ERROR(vm_.EvalSpans(prog, batch_, *slot_to_col_, n));
         cols_[c].resize(n);
         vm_.BoxResult(prog, n, cols_[c].data());
       }

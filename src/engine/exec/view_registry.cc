@@ -148,7 +148,7 @@ Status ViewRegistry::AccumulateDeltas(Entry* e, const ViewDescriptor& d,
     if (cur == wm) return Status::OK();
     const uint64_t mr = d.morsel_rows;
     auto& plist = e->partials[p];
-    SpanScratch scratch;
+    SpanScratch scratch(ctx);
     while (wm < cur) {
       // The morsel the watermark sits in: extend its partial from the
       // watermark to the morsel end (or table end). Morsel boundaries

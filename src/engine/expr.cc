@@ -16,9 +16,14 @@ namespace {
 // Bound node implementations
 // ---------------------------------------------------------------------------
 
+/// A constant: a SQL literal, or a column of a broadcast table
+/// (BindingScope::AddConstantTable), which evaluates and compiles like
+/// one but is no literal to AsLiteralValue — an aggregate UDF's literal
+/// configuration prefix is decided by the SQL text alone.
 class LiteralNode : public BoundExpr {
  public:
-  explicit LiteralNode(Datum value) : value_(std::move(value)) {}
+  explicit LiteralNode(Datum value, bool in_sql_text = true)
+      : value_(std::move(value)), in_sql_text_(in_sql_text) {}
   Datum Eval(const EvalContext&) const override { return value_; }
   void EvalBatch(const storage::Row*, size_t count, Status*,
                  Datum* out) const override {
@@ -26,6 +31,7 @@ class LiteralNode : public BoundExpr {
   }
   DataType result_type() const override { return value_.type(); }
   bool AsLiteralValue(Datum* value) const override {
+    if (!in_sql_text_) return false;
     *value = value_;
     return true;
   }
@@ -35,6 +41,7 @@ class LiteralNode : public BoundExpr {
 
  private:
   Datum value_;
+  bool in_sql_text_;
 };
 
 class InputRefNode : public BoundExpr {
@@ -516,6 +523,7 @@ class ScalarUdfNode : public BoundExpr {
     std::vector<Datum> values(args_.size());
     for (size_t i = 0; i < args_.size(); ++i) values[i] = args_[i]->Eval(ctx);
     StatusOr<Datum> result = udf_->Invoke(values);
+    if (result.ok()) result = udf_->ConformResult(std::move(result).value());
     if (!result.ok()) {
       if (ctx.error != nullptr && ctx.error->ok()) *ctx.error = result.status();
       return Datum::Null(udf_->return_type());
@@ -524,6 +532,17 @@ class ScalarUdfNode : public BoundExpr {
   }
 
   DataType result_type() const override { return udf_->return_type(); }
+
+  int EmitBytecode(exec::BytecodeBuilder* b) const override {
+    std::vector<exec::BytecodeBuilder::ValueId> args;
+    args.reserve(args_.size());
+    for (const auto& a : args_) {
+      const int v = a->EmitBytecode(b);
+      if (v < 0) return -1;
+      args.push_back(v);
+    }
+    return b->Call(udf_, args);
+  }
 
  private:
   const udf::ScalarUdf* udf_;
@@ -648,6 +667,11 @@ StatusOr<BoundExprPtr> Bind(const Expr& expr, const BindingScope& scope,
       }
       NLQ_ASSIGN_OR_RETURN(auto slot_type,
                            scope.Resolve(expr.table, expr.column));
+      if (const Datum* value = scope.ConstantAt(slot_type.first)) {
+        return BoundExprPtr(new LiteralNode(
+            value->is_null() ? Datum::Null(slot_type.second) : *value,
+            /*in_sql_text=*/false));
+      }
       return BoundExprPtr(new InputRefNode(slot_type.first, slot_type.second));
     }
     case ExprKind::kStar:
@@ -734,8 +758,26 @@ void BoundExpr::EvalBatch(const storage::Row* rows, size_t count,
 // ---------------------------------------------------------------------------
 
 void BindingScope::AddTable(std::string alias, const storage::Schema* schema) {
-  tables_.push_back({std::move(alias), schema, total_slots_});
+  tables_.push_back({std::move(alias), schema, total_slots_, nullptr});
   total_slots_ += schema->num_columns();
+}
+
+void BindingScope::AddConstantTable(std::string alias,
+                                    const storage::Schema* schema,
+                                    const storage::Row* row) {
+  tables_.push_back({std::move(alias), schema, total_slots_, row});
+  total_slots_ += schema->num_columns();
+}
+
+const Datum* BindingScope::ConstantAt(size_t slot) const {
+  for (const auto& entry : tables_) {
+    if (slot < entry.offset ||
+        slot >= entry.offset + entry.schema->num_columns()) {
+      continue;
+    }
+    return entry.row != nullptr ? &(*entry.row)[slot - entry.offset] : nullptr;
+  }
+  return nullptr;
 }
 
 StatusOr<std::pair<size_t, DataType>> BindingScope::Resolve(
@@ -784,21 +826,39 @@ BoundExprPtr MakeBoundInputRef(size_t slot, DataType type) {
   return BoundExprPtr(new InputRefNode(slot, type));
 }
 
-bool ContainsAggregate(const Expr& expr, const udf::UdfRegistry* registry) {
-  if (IsAggregateCall(expr, registry)) return true;
-  if (expr.left && ContainsAggregate(*expr.left, registry)) return true;
-  if (expr.right && ContainsAggregate(*expr.right, registry)) return true;
+namespace {
+
+/// True if `pred` holds for `expr` or any subexpression.
+template <typename Pred>
+bool AnySubexpr(const Expr& expr, const Pred& pred) {
+  if (pred(expr)) return true;
+  if (expr.left && AnySubexpr(*expr.left, pred)) return true;
+  if (expr.right && AnySubexpr(*expr.right, pred)) return true;
   for (const auto& a : expr.args) {
-    if (ContainsAggregate(*a, registry)) return true;
+    if (AnySubexpr(*a, pred)) return true;
   }
   for (const auto& b : expr.branches) {
-    if (ContainsAggregate(*b.condition, registry)) return true;
-    if (ContainsAggregate(*b.result, registry)) return true;
+    if (AnySubexpr(*b.condition, pred)) return true;
+    if (AnySubexpr(*b.result, pred)) return true;
   }
-  if (expr.else_expr && ContainsAggregate(*expr.else_expr, registry)) {
-    return true;
-  }
-  return false;
+  return expr.else_expr && AnySubexpr(*expr.else_expr, pred);
+}
+
+}  // namespace
+
+bool ContainsAggregate(const Expr& expr, const udf::UdfRegistry* registry) {
+  return AnySubexpr(expr, [registry](const Expr& e) {
+    return IsAggregateCall(e, registry);
+  });
+}
+
+bool ContainsScalarUdfCall(const Expr& expr,
+                           const udf::UdfRegistry* registry) {
+  return AnySubexpr(expr, [registry](const Expr& e) {
+    return e.kind == ExprKind::kFunction &&
+           FindBuiltin(e.function_name) == nullptr && registry != nullptr &&
+           registry->FindScalar(e.function_name) != nullptr;
+  });
 }
 
 StatusOr<BoundAggregation> BindAggregation(

@@ -78,8 +78,8 @@ class BoundExpr {
   /// Emits this subtree into `builder` for the vectorized bytecode
   /// path (engine/exec/bytecode.h), returning the builder ValueId of
   /// the result or a negative value when the construct cannot compile
-  /// (the default: scalar UDFs, key/agg refs, VARCHAR operands stay
-  /// interpreted).
+  /// (the default: key/agg refs stay interpreted, and so do VARCHAR
+  /// operands and UDF results).
   virtual int EmitBytecode(exec::BytecodeBuilder* builder) const {
     (void)builder;
     return -1;
@@ -95,6 +95,15 @@ class BindingScope {
   /// Adds a table with alias; its columns occupy the next
   /// `schema.num_columns()` slots of the joined row.
   void AddTable(std::string alias, const storage::Schema* schema);
+
+  /// Adds a broadcast table: its slots are numbered like AddTable's,
+  /// but its column references bind to the values of `row` (which must
+  /// outlive binding) as constants instead of input references.
+  void AddConstantTable(std::string alias, const storage::Schema* schema,
+                        const storage::Row* row);
+
+  /// The broadcast value bound to `slot`, or nullptr for an input slot.
+  const storage::Datum* ConstantAt(size_t slot) const;
 
   /// Resolves `[table.]column`; InvalidArgument if ambiguous,
   /// NotFound if missing. Returns {slot, type}.
@@ -112,6 +121,7 @@ class BindingScope {
     std::string alias;
     const storage::Schema* schema;
     size_t offset;
+    const storage::Row* row;  // broadcast values, or nullptr
   };
   std::vector<TableEntry> tables_;
   size_t total_slots_ = 0;
@@ -145,6 +155,10 @@ BoundExprPtr MakeBoundInputRef(size_t slot, storage::DataType type);
 /// Returns true if `expr` contains an aggregate function call
 /// (builtin or registered aggregate UDF).
 bool ContainsAggregate(const Expr& expr, const udf::UdfRegistry* registry);
+
+/// Returns true if `expr` calls a registered scalar UDF (builtins such
+/// as sqrt() excluded).
+bool ContainsScalarUdfCall(const Expr& expr, const udf::UdfRegistry* registry);
 
 /// Binds the SELECT list of an aggregation query: group_by expressions
 /// become key slots, aggregate calls become AggregateSpecs, and each

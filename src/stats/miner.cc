@@ -9,31 +9,6 @@
 #include "stats/scoring.h"
 
 namespace nlq::stats {
-namespace {
-
-/// Builds the clusterscore(kmeansdistance(...), ...) expression over
-/// aliased centroid-table copies C1..Ck.
-std::string ClusterScoreExpr(const std::string& x_table, size_t d,
-                             size_t k) {
-  std::string expr = "clusterscore(";
-  for (size_t j = 1; j <= k; ++j) {
-    if (j > 1) expr += ", ";
-    expr += "kmeansdistance(";
-    for (size_t a = 1; a <= d; ++a) {
-      if (a > 1) expr += ", ";
-      expr += StringPrintf("%s.X%zu", x_table.c_str(), a);
-    }
-    for (size_t a = 1; a <= d; ++a) {
-      expr += StringPrintf(", C%zu.X%zu", j, a);
-    }
-    expr += ")";
-  }
-  expr += ")";
-  return expr;
-}
-
-}  // namespace
-
 StatusOr<SufStats> WarehouseMiner::ComputeSufStats(
     const std::string& table, const std::vector<std::string>& columns,
     MatrixKind kind, ComputeVia via) {
@@ -192,26 +167,11 @@ StatusOr<KMeansModel> WarehouseMiner::BuildKMeansInDbms(
   const std::string c_table = table + "_KMC";
   const std::string r_table = table + "_KMR";
   const std::string w_table = table + "_KMW";
-  const std::string score_expr = ClusterScoreExpr(table, d, k);
 
   // Per-iteration single-scan GROUP BY query (paper Section 4.2,
   // "this query can be used to compute k clusters if the nearest
   // centroid is available").
-  std::string iter_sql = "SELECT " + score_expr + " AS j, ";
-  iter_sql += "nlq_list('diag'";
-  for (size_t a = 1; a <= d; ++a) {
-    iter_sql += StringPrintf(", %s.X%zu", table.c_str(), a);
-  }
-  iter_sql += ") AS nlq FROM " + table;
-  for (size_t j = 1; j <= k; ++j) {
-    iter_sql += StringPrintf(", %s C%zu", c_table.c_str(), j);
-  }
-  iter_sql += " WHERE ";
-  for (size_t j = 1; j <= k; ++j) {
-    if (j > 1) iter_sql += " AND ";
-    iter_sql += StringPrintf("C%zu.j = %zu", j, j);
-  }
-  iter_sql += " GROUP BY " + score_expr;
+  const std::string iter_sql = KMeansIterationQuery(table, c_table, d, k);
 
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
     NLQ_RETURN_IF_ERROR(

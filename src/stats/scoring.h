@@ -67,6 +67,15 @@ std::string KMeansScoreUdfQuery(const std::string& x_table,
                                 const std::string& c_table, size_t d, size_t k,
                                 const std::string& id_column = "i");
 
+/// One K-means step in one scan (paper Section 4.2): each row's nearest
+/// centroid by clusterscore(kmeansdistance(...), ...) groups the diagonal
+/// n,L,Q of its cluster — `SELECT <score> AS j, nlq_list('diag', X..)
+/// AS nlq ... GROUP BY <score>`, as WarehouseMiner::BuildKMeansInDbms
+/// issues it.
+std::string KMeansIterationQuery(const std::string& x_table,
+                                 const std::string& c_table, size_t d,
+                                 size_t k);
+
 /// SQL clustering needs two scans (paper Table 4): first materialize
 /// the k distances, then pick the argmin with a CASE expression.
 std::string KMeansDistancesSqlQuery(const std::string& x_table,

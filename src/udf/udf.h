@@ -7,10 +7,47 @@
 #include <vector>
 
 #include "common/status.h"
+#include "storage/column_vector.h"
 #include "storage/value.h"
 #include "udf/heap_segment.h"
 
 namespace nlq::udf {
+
+/// One argument of ScalarUdf::InvokeSpans, in call order: a scalar
+/// constant (`constant` non-null, the same value for every row) or a
+/// typed span of `rows` values with its null bitmap.
+struct SpanArg {
+  const storage::Datum* constant = nullptr;
+  storage::DataType type = storage::DataType::kDouble;  // span lane type
+  const double* d = nullptr;        // type == kDouble
+  const int64_t* i = nullptr;       // type == kInt64
+  const uint64_t* nulls = nullptr;  // bit r set = row r NULL; or nullptr
+
+  bool is_null(size_t r) const {
+    if (constant != nullptr) return constant->is_null();
+    return nulls != nullptr && storage::NullBitGet(nulls, r);
+  }
+
+  /// Row r as Datum::AsDouble reads it: NULL is 0.0, BIGINT widens.
+  double AsDouble(size_t r) const {
+    if (constant != nullptr) return constant->AsDouble();
+    if (is_null(r)) return 0.0;
+    return d != nullptr ? d[r] : static_cast<double>(i[r]);
+  }
+
+  /// Row r boxed: typed NULL, DOUBLE or BIGINT.
+  storage::Datum Box(size_t r) const;
+};
+
+/// Where InvokeSpans writes its `rows` results: one value lane of the
+/// UDF's return_type() and a null bitmap, both owned by the caller. The
+/// bitmap arrives zeroed; a NULL result sets its bit and stores 0 in
+/// the value lane.
+struct SpanOutput {
+  double* d = nullptr;        // return_type() == kDouble
+  int64_t* i = nullptr;       // return_type() == kInt64
+  uint64_t* nulls = nullptr;  // storage::NullBitmapWords(rows) words
+};
 
 /// A scalar User-Defined Function: one value per input row, computed
 /// from the row's parameter values only (no cross-row state, matching
@@ -35,6 +72,33 @@ class ScalarUdf {
   /// Computes the value for one row.
   virtual StatusOr<storage::Datum> Invoke(
       const std::vector<storage::Datum>& args) const = 0;
+
+  /// Span-at-a-time ROW phase, the scalar twin of
+  /// AggregateUdf::AccumulateSpans: computes `rows` results into `out`,
+  /// row r from row r of every argument. The engine's compiled pipeline
+  /// calls it from bytecode (DESIGN.md §11) with at most 256 rows per
+  /// call, so a statement stays cancellable between calls, and only
+  /// on rows the interpreter would pass to Invoke (a call inside a
+  /// lazily evaluated operand — a CASE branch, the right side of AND —
+  /// stays interpreted); several threads may call it at once.
+  ///
+  /// Contract for an override: row r's result is bit-identical to
+  /// ConformResult(Invoke(args of row r)) — the same operations in the
+  /// same order, NULL arguments read as Invoke reads them (AsDouble
+  /// makes them 0.0) — and the first failing row's error is returned.
+  /// The default boxes each row (BIGINT lanes as BIGINT, NULL lanes as
+  /// typed NULL) through Invoke, so every UDF with numeric arguments
+  /// and result runs compiled. VARCHAR arguments or results never reach
+  /// here.
+  virtual Status InvokeSpans(const std::vector<SpanArg>& args, size_t rows,
+                             const SpanOutput& out) const;
+
+  /// The one rule for a value Invoke returns, applied by the
+  /// interpreter and by InvokeSpans alike: NULL of any type becomes
+  /// NULL of return_type(), a BIGINT widens to DOUBLE when the UDF
+  /// returns DOUBLE, and any other type mismatch is an Internal error
+  /// naming the UDF.
+  StatusOr<storage::Datum> ConformResult(storage::Datum value) const;
 };
 
 /// An aggregate UDF following the Teradata four-phase run-time

@@ -64,7 +64,16 @@ class CancellationTest : public ::testing::Test {
 // count); a deadline tens of milliseconds out always fires first.
 constexpr const char* kSlowQuery = "SELECT slow_pass(X1) FROM X";
 
+/// The slow UDF runs compiled, through the span call opcode: the
+/// statement must stay cancellable between its 256-row call slices.
+void ExpectCompiledCall(Database* db) {
+  auto plan = db->Explain(kSlowQuery);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("VectorProject"), std::string::npos) << *plan;
+}
+
 TEST_F(CancellationTest, DeadlineExceededWithoutCompleting) {
+  ExpectCompiledCall(db_.get());
   QueryOptions q;
   q.timeout_ms = 20;
   auto result = db_->Execute(kSlowQuery, q);
@@ -89,6 +98,7 @@ TEST_F(CancellationTest, DatabaseDefaultTimeoutApplies) {
   gen_options.d = 2;
   gen_options.seed = 99;
   NLQ_ASSERT_OK(gen::GenerateDataSetTable(&db, "X", gen_options).status());
+  ExpectCompiledCall(&db);
 
   auto result = db.Execute(kSlowQuery);
   ASSERT_FALSE(result.ok());
@@ -103,6 +113,7 @@ TEST_F(CancellationTest, DatabaseDefaultTimeoutApplies) {
 }
 
 TEST_F(CancellationTest, CancelFromAnotherThread) {
+  ExpectCompiledCall(db_.get());
   // The canceller watches for the statement to start (last_query_id
   // becomes nonzero), then cancels it mid-flight.
   Status cancel_status;

@@ -260,12 +260,18 @@ TEST(ColumnarEquivalenceTest, PlannerChoosesColumnarOnlyWhenEligible) {
   FillTable(db.get(), 10, 4);
   NLQ_ASSERT_OK(db->ExecuteCommand("CREATE TABLE M (j BIGINT, c DOUBLE)"));
   NLQ_ASSERT_OK(db->ExecuteCommand("INSERT INTO M VALUES (1, 10)"));
+  NLQ_ASSERT_OK(db->ExecuteCommand("CREATE TABLE M2 (j BIGINT, c DOUBLE)"));
+  NLQ_ASSERT_OK(db->ExecuteCommand("INSERT INTO M2 VALUES (1, 10), (2, 20)"));
 
   // Eligible: every single-table aggregate whose expressions compile
   // runs the one columnar aggregate operator — global or grouped, bare
-  // or expression arguments, pushed or compiled WHERE, HAVING.
+  // or expression arguments, pushed or compiled WHERE, HAVING, no
+  // column at all, or a one-row table broadcast as constants.
   for (const char* sql :
        {"SELECT nlq_list('triang', x1, x2) FROM X",
+        "SELECT count(*) FROM X",                   // no columns
+        "SELECT sum(x1) FROM X, M",                 // one-row M broadcast
+        "SELECT sum(x1 * c) FROM X, M2 WHERE M2.j = 2",  // one after pushdown
         "SELECT sum(x1), count(*), avg(x2) FROM X",
         "SELECT min(i), max(x3) FROM X WHERE x1 > 0 AND 2 >= x2",
         "SELECT nlq_list('diag', x1) FROM X ORDER BY 1 LIMIT 3",
@@ -288,9 +294,9 @@ TEST(ColumnarEquivalenceTest, PlannerChoosesColumnarOnlyWhenEligible) {
 
   // Genuinely ineligible shapes fall back to the row path.
   for (const char* sql :
-       {"SELECT sum(x1) FROM X, M",                          // cross join
-        "SELECT count(*) FROM X",                            // no columns
-        "SELECT nlq_string('diag', pack_point(x1)) FROM X"}) {  // scalar UDF
+       {"SELECT sum(x1) FROM X, M2",                        // two-row join
+        "SELECT sum(x1) FROM X, M2 WHERE M2.j = 3",         // empty join
+        "SELECT nlq_string('diag', pack_point(x1)) FROM X"}) {  // VARCHAR UDF
     NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(sql));
     EXPECT_EQ(plan.find("Columnar"), std::string::npos) << sql << "\n" << plan;
     EXPECT_EQ(plan.find("Vector"), std::string::npos) << sql << "\n" << plan;

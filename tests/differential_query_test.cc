@@ -580,16 +580,35 @@ TEST(DifferentialQueryTest, BuiltinAggregatesMatchOracle) {
       EXPECT_EQ(Bits(columnar->At(0, 1).double_value()), Bits(oracle.L(0)));
       EXPECT_EQ(Bits(columnar->At(0, 2).double_value()), Bits(oracle.Min(0)));
       EXPECT_EQ(Bits(columnar->At(0, 3).double_value()), Bits(oracle.Max(0)));
+
+      // Statements that reference no column outside WHERE: the scan
+      // projects nothing but the filter's columns (without WHERE,
+      // nothing at all) and still counts every surviving row.
+      for (const std::string& bare :
+           {"SELECT count(*) FROM T" + where.suffix,
+            "SELECT 2.5 * 4, 7 FROM T" + where.suffix}) {
+        NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(bare));
+        EXPECT_NE(plan.find("ColumnarScan"), std::string::npos) << plan;
+        auto compiled = db->Execute(bare);
+        auto interpreted = db->Execute(bare, Interpreted());
+        NLQ_ASSERT_OK(compiled.status());
+        NLQ_ASSERT_OK(interpreted.status());
+        EXPECT_EQ(ResultSignature(*compiled), ResultSignature(*interpreted))
+            << bare;
+      }
+      NLQ_ASSERT_OK_AND_ASSIGN(
+          ResultSet counted, db->Execute("SELECT count(*) FROM T" + where.suffix));
+      EXPECT_EQ(counted.At(0, 0).int_value(), static_cast<int64_t>(surviving));
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Segment models (GROUP BY) and scoring projections through the
+// Segment models (GROUP BY) and scoring statements through the
 // compiled pipeline: the vectorized plans (VectorHashAggregate, and
-// compiled Project programs under a cross join) must match the forced
-// interpreted row path and the external oracle bit for bit, across
-// worker-thread counts {1, 2, 4}.
+// VectorProject with one-row model tables broadcast) must match the
+// forced interpreted row path and the external oracle bit for bit,
+// across worker-thread counts {1, 2, 4}.
 // ---------------------------------------------------------------------------
 
 /// Per-group oracle mirroring the engine's structure exactly: one
@@ -720,25 +739,81 @@ TEST(DifferentialQueryTest, GroupedBuildsMatchOracleAcrossThreads) {
   }
 }
 
+/// Model tables of the paper's scoring statements, as exact dyadic
+/// values: BETA(b0, b1..bd) and M(X1..Xd) hold one row; C(j, X1..Xd)
+/// holds `k` rows — PCA's Lambda and K-means' centroids, one row per
+/// `Cj.j = j` alias after pushdown; BETA2 is BETA with a second row.
+std::vector<std::string> ModelTableCommands(size_t d, size_t k) {
+  std::string beta_cols = "b0 DOUBLE", beta_row = "0.5";
+  std::string x_cols, m_row;
+  for (size_t a = 1; a <= d; ++a) {
+    beta_cols += StringPrintf(", b%zu DOUBLE", a);
+    beta_row += StringPrintf(", %.8f", 0.25 * static_cast<double>(a));
+    x_cols += StringPrintf(", X%zu DOUBLE", a);
+    m_row += StringPrintf("%s%.8f", a > 1 ? ", " : "",
+                          0.125 * static_cast<double>(a) - 0.5);
+  }
+  std::string c_rows;
+  for (size_t j = 1; j <= k; ++j) {
+    c_rows += StringPrintf("%s(%zu", j > 1 ? ", " : "", j);
+    for (size_t a = 1; a <= d; ++a) {
+      c_rows += StringPrintf(", %.8f", 8.0 * static_cast<double>(j) -
+                                           12.0 + 0.75 * static_cast<double>(a));
+    }
+    c_rows += ")";
+  }
+  return {"CREATE TABLE BETA (" + beta_cols + ")",
+          "INSERT INTO BETA VALUES (" + beta_row + ")",
+          "CREATE TABLE BETA2 (" + beta_cols + ")",
+          "INSERT INTO BETA2 VALUES (" + beta_row + "), (" + beta_row + ")",
+          "CREATE TABLE M (" + x_cols.substr(2) + ")",
+          "INSERT INTO M VALUES (" + m_row + ")",
+          "CREATE TABLE C (j BIGINT" + x_cols + ")",
+          "INSERT INTO C VALUES " + c_rows};
+}
+
+/// `sql` with the pushed predicate `C1.j = 1` turned into one that
+/// empties C1.
+std::string EmptyFirstCentroid(std::string sql) {
+  const size_t at = sql.find("C1.j = 1");
+  EXPECT_NE(at, std::string::npos) << sql;
+  return sql.replace(at, 8, "C1.j = 99");
+}
+
+// The paper's scoring statements and the K-means step cross-join X
+// with model tables that hold one row after pushdown. The compiled
+// plan broadcasts those rows as constants into the columnar pipeline
+// (scalar UDFs through the span call opcode); the interpreted oracle
+// keeps the CrossJoin. Both must agree bit for bit, across thread
+// counts, with and without NULLs in the dimensions. Model tables of 0
+// or 2 rows keep the CrossJoin on both.
 TEST(DifferentialQueryTest, ScoringProjectionsMatchAcrossThreads) {
   const size_t kThreads[] = {1, 2, 4};
-  const size_t kPick[] = {4, 8, 15};
+  const size_t kPick[] = {4, 8, 15, 19};  // 19: NULLs inside the dimensions
+  constexpr size_t kClusters = 3;
   for (const size_t idx : kPick) {
     const TableConfig& cfg = kConfigs[idx];
+    const size_t d = cfg.d;
     const std::vector<std::string> inserts = BuildInserts(cfg);
-    // One-row BETA(b0, b1..bd) with exact dyadic coefficients.
-    std::string create_beta = "CREATE TABLE BETA (b0 DOUBLE";
-    std::string insert_beta = "INSERT INTO BETA VALUES (0.5";
-    for (size_t a = 1; a <= cfg.d; ++a) {
-      create_beta += StringPrintf(", b%zu DOUBLE", a);
-      insert_beta += StringPrintf(", %.8f", 0.25 * static_cast<double>(a));
-    }
-    create_beta += ")";
-    insert_beta += ")";
-    const std::string score_sql =
-        stats::LinRegScoreSqlQuery("T", "BETA", cfg.d);
+    const std::vector<std::string> broadcast_sqls = {
+        stats::LinRegScoreUdfQuery("T", "BETA", d),
+        stats::LinRegScoreSqlQuery("T", "BETA", d),
+        stats::PcaScoreUdfQuery("T", "M", "C", d, kClusters),
+        stats::PcaScoreSqlQuery("T", "M", "C", d, kClusters),
+        stats::KMeansScoreUdfQuery("T", "C", d, kClusters),
+        stats::KMeansDistancesSqlQuery("T", "C", d, kClusters),
+        stats::KMeansIterationQuery("T", "C", d, kClusters)};
+    const std::string empty_score =
+        EmptyFirstCentroid(stats::KMeansScoreUdfQuery("T", "C", d, kClusters));
+    const std::string empty_iteration =
+        EmptyFirstCentroid(stats::KMeansIterationQuery("T", "C", d, kClusters));
+    const std::string empty_global =
+        "SELECT count(*), sum(T.X1) FROM T, C C1 WHERE C1.j = 99";
+    const std::vector<std::string> join_sqls = {
+        stats::LinRegScoreUdfQuery("T", "BETA2", d), empty_score,
+        empty_iteration, empty_global};
     // The pure-projection flavor (no join) runs the vector pipeline.
-    std::string proj_sql = "SELECT i, X1 * X1 + 0.5 FROM T";
+    const std::string proj_sql = "SELECT i, X1 * X1 + 0.5 FROM T";
     std::string baseline;
     for (const size_t threads : kThreads) {
       SCOPED_TRACE(StringPrintf(
@@ -746,22 +821,34 @@ TEST(DifferentialQueryTest, ScoringProjectionsMatchAcrossThreads) {
           static_cast<unsigned long long>(cfg.seed), threads));
       auto db = MakeDiffDatabase(cfg, threads);
       CreateAndFill(db.get(), cfg, inserts);
-      NLQ_ASSERT_OK(db->ExecuteCommand(create_beta));
-      NLQ_ASSERT_OK(db->ExecuteCommand(insert_beta));
+      for (const std::string& command : ModelTableCommands(d, kClusters)) {
+        NLQ_ASSERT_OK(db->ExecuteCommand(command));
+      }
 
-      // Cross-join scoring stays on the row path but its projection
-      // gets a compiled program; the join-free projection runs the
-      // full vector pipeline.
-      NLQ_ASSERT_OK_AND_ASSIGN(std::string score_plan,
-                               db->Explain(score_sql));
-      EXPECT_NE(score_plan.find("; compiled "), std::string::npos)
-          << score_plan;
+      for (const std::string& sql : broadcast_sqls) {
+        NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(sql));
+        EXPECT_TRUE(plan.find("VectorProject") != std::string::npos ||
+                    plan.find("VectorHashAggregate") != std::string::npos)
+            << plan;
+        EXPECT_EQ(plan.find("CrossJoin"), std::string::npos) << plan;
+        NLQ_ASSERT_OK_AND_ASSIGN(std::string row_plan,
+                                 db->Explain(sql, Interpreted()));
+        EXPECT_NE(row_plan.find("CrossJoin"), std::string::npos) << row_plan;
+      }
+      for (const std::string& sql : join_sqls) {
+        NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(sql));
+        EXPECT_NE(plan.find("CrossJoin"), std::string::npos) << plan;
+      }
       NLQ_ASSERT_OK_AND_ASSIGN(std::string proj_plan, db->Explain(proj_sql));
       EXPECT_NE(proj_plan.find("VectorProject"), std::string::npos)
           << proj_plan;
 
       std::string sig;
-      for (const std::string& sql : {score_sql, proj_sql}) {
+      std::vector<std::string> all = broadcast_sqls;
+      all.insert(all.end(), join_sqls.begin(), join_sqls.end());
+      all.push_back(proj_sql);
+      for (const std::string& sql : all) {
+        SCOPED_TRACE(sql);
         auto compiled = db->Execute(sql);
         auto interpreted = db->Execute(sql, Interpreted());
         NLQ_ASSERT_OK(compiled.status());
@@ -770,6 +857,17 @@ TEST(DifferentialQueryTest, ScoringProjectionsMatchAcrossThreads) {
             << sql;
         sig += ResultSignature(*compiled);
       }
+      // An empty model table empties a projection and a grouped
+      // aggregate, and leaves one empty-input global group.
+      NLQ_ASSERT_OK_AND_ASSIGN(ResultSet none, db->Execute(empty_score));
+      EXPECT_EQ(none.num_rows(), 0u);
+      NLQ_ASSERT_OK_AND_ASSIGN(ResultSet no_groups,
+                               db->Execute(empty_iteration));
+      EXPECT_EQ(no_groups.num_rows(), 0u);
+      NLQ_ASSERT_OK_AND_ASSIGN(ResultSet one_group, db->Execute(empty_global));
+      ASSERT_EQ(one_group.num_rows(), 1u);
+      EXPECT_EQ(one_group.At(0, 0).int_value(), 0);
+      EXPECT_TRUE(one_group.At(0, 1).is_null());
       if (baseline.empty()) {
         baseline = sig;
       } else {

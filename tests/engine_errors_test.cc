@@ -89,6 +89,14 @@ class FailingUdaf : public udf::AggregateUdf {
 
 class EngineErrorsTest : public ::testing::Test {
  protected:
+  /// Asserts `sql` plans the compiled pipeline with `node` in it, so
+  /// the scalar UDF runs through the span call opcode.
+  void ExpectCompiled(const std::string& sql, const char* node) {
+    auto plan = db_->Explain(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan->find(node), std::string::npos) << *plan;
+  }
+
   void SetUp() override {
     db_ = nlq::testing::MakeTestDatabase();
     NLQ_ASSERT_OK(db_->udfs().RegisterScalar(std::make_unique<FailAboveUdf>()));
@@ -108,6 +116,7 @@ class EngineErrorsTest : public ::testing::Test {
 };
 
 TEST_F(EngineErrorsTest, ScalarUdfErrorInParallelScanSurfaces) {
+  ExpectCompiled("SELECT fail_above(v, 150) FROM t", "VectorProject");
   auto result = db_->Execute("SELECT fail_above(v, 150) FROM t");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
@@ -116,11 +125,14 @@ TEST_F(EngineErrorsTest, ScalarUdfErrorInParallelScanSurfaces) {
 }
 
 TEST_F(EngineErrorsTest, ScalarUdfErrorInWhereSurfaces) {
+  ExpectCompiled("SELECT i FROM t WHERE fail_above(v, 10) > 0",
+                 "VectorFilter");
   EXPECT_FALSE(
       db_->Execute("SELECT i FROM t WHERE fail_above(v, 10) > 0").ok());
 }
 
 TEST_F(EngineErrorsTest, ScalarUdfSucceedsBelowThreshold) {
+  ExpectCompiled("SELECT fail_above(v, 1e9) FROM t", "VectorProject");
   auto result = db_->Execute("SELECT fail_above(v, 1e9) FROM t");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->num_rows(), 200u);
@@ -140,6 +152,53 @@ TEST_F(EngineErrorsTest, AggregateAccumulateErrorSurfaces) {
 
 TEST_F(EngineErrorsTest, ScalarUdfArityCheckedAtPlanTime) {
   EXPECT_FALSE(db_->Execute("SELECT fail_above(v) FROM t").ok());
+  // Binding fails before any plan exists.
+  EXPECT_EQ(db_->Explain("SELECT fail_above(v) FROM t").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(EngineErrorsTest, ScalarUdfStatusMatchesInterpretedUnderLazyOperators) {
+  // The interpreter skips the right side of AND/OR, untaken CASE
+  // branches and later WHERE conjuncts. The default plan must run the
+  // failing UDF on the same rows, so it returns the oracle's status.
+  QueryOptions interpreted;
+  interpreted.force_interpreted = true;
+  // A NULL comparison does not stop the interpreter's AND, but a scan
+  // filter drops the row: the call must still see it.
+  NLQ_ASSERT_OK(db_->ExecuteCommand("CREATE TABLE u (v DOUBLE)"));
+  NLQ_ASSERT_OK(db_->ExecuteCommand("INSERT INTO u VALUES (NULL), (5)"));
+  const struct {
+    const char* sql;
+    bool ok;
+  } kCases[] = {
+      {"SELECT CASE WHEN v < 100 THEN fail_above(v, 150) ELSE 0 END FROM t",
+       true},
+      {"SELECT CASE WHEN v < 100 THEN fail_above(v, 150) ELSE 0.5 END FROM t",
+       true},
+      {"SELECT v > 100 OR fail_above(v, 150) > 0 FROM t", true},
+      {"SELECT i FROM t WHERE v * 1 < 100 AND fail_above(v, 150) > 0", true},
+      {"SELECT i FROM t WHERE v < 100 AND fail_above(v, 150) > 0", true},
+      {"SELECT count(*) FROM t WHERE v < 100 AND fail_above(v, 150) > 0",
+       true},
+      {"SELECT i FROM t WHERE fail_above(v, 150) > 0 AND v < 100", false},
+      {"SELECT sum(v) FROM t WHERE fail_above(v, 150) > 0 AND v < 100", false},
+      {"SELECT count(*) FROM u WHERE v > 10 AND fail_above(1, 0) > 0", false},
+  };
+  for (const auto& c : kCases) {
+    auto oracle = db_->Execute(c.sql, interpreted);
+    EXPECT_EQ(oracle.ok(), c.ok) << c.sql << ": " << oracle.status().ToString();
+    auto compiled = db_->Execute(c.sql);
+    EXPECT_EQ(compiled.status().code(), oracle.status().code())
+        << c.sql << ": " << compiled.status().ToString();
+    if (compiled.ok() && oracle.ok()) {
+      EXPECT_EQ(compiled->num_rows(), oracle->num_rows()) << c.sql;
+    }
+  }
+  // A call in the first conjunct still compiles, with no conjunct
+  // pushed into the scan ahead of it.
+  ExpectCompiled("SELECT i FROM t WHERE fail_above(v, 150) > 0 AND v < 100",
+                 "VectorFilter ((fail_above(v, 150) > 0) AND (v < 100); "
+                 "compiled");
 }
 
 // ---------------------------------------------------------------------------

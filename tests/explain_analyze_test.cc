@@ -387,6 +387,11 @@ TEST(InertInstrumentationTest, StatsDoNotChangeStatusCodes) {
     options.d = 2;
     options.seed = 99;
     NLQ_ASSERT_OK(gen::GenerateDataSetTable(db.get(), "X", options).status());
+    // The UDF runs compiled: the deadline must fire between its
+    // 256-row call slices.
+    auto plan = db->Explain("SELECT slow_pass(X1) FROM X");
+    NLQ_ASSERT_OK(plan.status());
+    EXPECT_NE(plan->find("VectorProject"), std::string::npos) << *plan;
     QueryOptions q;
     q.timeout_ms = 20;
     auto result = db->Execute("SELECT slow_pass(X1) FROM X", q);

@@ -63,22 +63,79 @@ TEST_F(ExplainTest, ForceInterpretedPlansTheRowPath) {
 }
 
 TEST_F(ExplainTest, ShowsPushdownDecision) {
-  const std::string plan = Plan(
+  const std::string sql =
       "SELECT X1, m1.c FROM X, M m1, M m2 "
-      "WHERE m1.j = 1 AND m2.j = 2 AND X1 > 0");
-  // Pushed predicates shrink the materialized sides to one row each.
-  EXPECT_NE(plan.find("CrossJoin (M AS m1: materialized, 1 rows after "
-                      "pushdown: (m1.j = 1))"),
+      "WHERE m1.j = 1 AND m2.j = 2 AND X1 > 0";
+  // Pushed predicates shrink each materialized side to one row, so
+  // both are broadcast as constants into the columnar pipeline: the
+  // scan names them with their pushed predicates, and the driver-only
+  // conjunct becomes a scan filter.
+  const std::string plan = Plan(sql);
+  EXPECT_EQ(plan,
+            "Gather (4 stream(s), 4 worker(s))\n"
+            "└─ VectorProject (2 column(s); compiled, 2 op(s))\n"
+            "   └─ ColumnarScan (X: 50 rows, 4 partitions, 1 of 3 "
+            "column(s), batch 1024, morsel 16384 (4 morsel(s)), filter: "
+            "(X1 > 0), broadcast: M AS m1 (1 row after pushdown: "
+            "(m1.j = 1)), M AS m2 (1 row after pushdown: (m2.j = 2)))\n");
+  // The interpreted oracle keeps the pushed-down cross joins and the
+  // residual row-path filter.
+  QueryOptions interpreted;
+  interpreted.force_interpreted = true;
+  auto row_plan = db_->Explain(sql, interpreted);
+  NLQ_ASSERT_OK(row_plan.status());
+  EXPECT_NE(row_plan->find("CrossJoin (M AS m1: materialized, 1 rows after "
+                           "pushdown: (m1.j = 1))"),
+            std::string::npos)
+      << *row_plan;
+  EXPECT_NE(row_plan->find("CrossJoin (M AS m2: materialized, 1 rows after "
+                           "pushdown: (m2.j = 2))"),
+            std::string::npos);
+  EXPECT_NE(row_plan->find("Filter ((X1 > 0))"), std::string::npos)
+      << *row_plan;
+}
+
+TEST_F(ExplainTest, BroadcastRowPathHasNoCrossJoin) {
+  // A VARCHAR result does not compile, so the statement runs the row
+  // path; the one-row table stays broadcast there, with no CrossJoin.
+  const std::string sql =
+      "SELECT pack_point(X1, m1.c) FROM X, M m1 WHERE m1.j = 1 AND X1 > 0";
+  EXPECT_EQ(Plan(sql),
+            "Gather (4 stream(s), 4 worker(s))\n"
+            "└─ Project (1 column(s))\n"
+            "   └─ Filter ((X1 > 0))\n"
+            "      └─ ParallelScan (X: 50 rows, 4 partitions, batch 1024, "
+            "morsel 16384 (4 morsel(s)), broadcast: M AS m1 (1 row after "
+            "pushdown: (m1.j = 1)))\n");
+  QueryOptions interpreted;
+  interpreted.force_interpreted = true;
+  auto row_plan = db_->Explain(sql, interpreted);
+  NLQ_ASSERT_OK(row_plan.status());
+  EXPECT_NE(row_plan->find("CrossJoin (M AS m1: materialized, 1 rows"),
+            std::string::npos)
+      << *row_plan;
+  auto broadcast = db_->Execute(sql);
+  auto joined = db_->Execute(sql, interpreted);
+  NLQ_ASSERT_OK(broadcast.status());
+  NLQ_ASSERT_OK(joined.status());
+  ASSERT_EQ(broadcast->num_rows(), 50u);
+  ASSERT_EQ(joined->num_rows(), 50u);
+  for (size_t r = 0; r < 50; ++r) {
+    EXPECT_EQ(broadcast->rows()[r][0].string_value(),
+              joined->rows()[0][0].string_value());
+  }
+}
+
+TEST_F(ExplainTest, MultiRowSmallTableKeepsTheCrossJoin) {
+  // M holds three rows: nothing to broadcast, so the default plan is
+  // the row path's cross join (whose nodes carry no compiled programs).
+  const std::string plan = Plan("SELECT X1 * c FROM X, M");
+  EXPECT_NE(plan.find("CrossJoin (M AS M: materialized, 3 rows)"),
             std::string::npos)
       << plan;
-  EXPECT_NE(plan.find("CrossJoin (M AS m2: materialized, 1 rows after "
-                      "pushdown: (m2.j = 2))"),
-            std::string::npos);
-  // The driver-only conjunct stays in the residual filter; the join
-  // keeps the query on the row path, but the predicate still gets a
-  // compiled program.
-  EXPECT_NE(plan.find("Filter ((X1 > 0); compiled, "), std::string::npos)
-      << plan;
+  EXPECT_NE(plan.find("Project (1 column(s))"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("compiled"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("Columnar"), std::string::npos) << plan;
 }
 
 TEST_F(ExplainTest, AggregatePlanCountsUdfCalls) {
@@ -128,7 +185,9 @@ TEST_F(ExplainTest, RejectsNonSelect) {
 
 TEST_F(ExplainTest, NlqScoringPlanIsCompact) {
   // The paper's k-way aliased cross join stays k rows per side after
-  // pushdown, never k^k.
+  // pushdown, never k^k: each aliased copy is pre-filtered to exactly
+  // one centroid row, which the compiled plan broadcasts and the
+  // interpreted plan cross-joins.
   NLQ_ASSERT_OK(db_->ExecuteCommand(
       "CREATE TABLE C (j BIGINT, X1 DOUBLE, X2 DOUBLE)"));
   for (int j = 1; j <= 3; ++j) {
@@ -137,12 +196,21 @@ TEST_F(ExplainTest, NlqScoringPlanIsCompact) {
   }
   const std::string sql = stats::KMeansScoreUdfQuery("X", "C", 2, 3);
   const std::string plan = Plan(sql);
-  // Each aliased copy is pre-filtered to exactly one centroid row.
+  QueryOptions interpreted;
+  interpreted.force_interpreted = true;
+  auto row_plan = db_->Explain(sql, interpreted);
+  NLQ_ASSERT_OK(row_plan.status());
+  EXPECT_NE(plan.find("VectorProject"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("CrossJoin"), std::string::npos) << plan;
   for (int j = 1; j <= 3; ++j) {
-    EXPECT_NE(plan.find("AS C" + std::to_string(j) +
-                        ": materialized, 1 rows"),
+    const std::string c = "C" + std::to_string(j);
+    EXPECT_NE(plan.find("C AS " + c + " (1 row after pushdown: (" + c +
+                        ".j = " + std::to_string(j) + "))"),
               std::string::npos)
         << plan;
+    EXPECT_NE(row_plan->find("AS " + c + ": materialized, 1 rows"),
+              std::string::npos)
+        << *row_plan;
   }
 }
 

@@ -367,6 +367,66 @@ TEST(ViewMaintenanceTest, ViewCapEvictsLeastRecentlyServed) {
 // 5. Views off by default
 // ---------------------------------------------------------------------------
 
+TEST(ViewMaintenanceTest, BroadcastAggregatesFollowTheModelTable) {
+  // A one-row model table M is broadcast into the pipeline as
+  // constants. An aggregate over a broadcast value must return the new
+  // answer after M changes — views key nothing on M, so only the plan
+  // may carry its value — and M of two rows goes back to a CrossJoin.
+  auto db = MakeViewDb(/*partitions=*/2, /*threads=*/2, /*views=*/true);
+  auto plain = MakeViewDb(/*partitions=*/2, /*threads=*/2, /*views=*/false);
+  const char* kScaled = "SELECT sum(X1 * M.w), count(*) FROM T, M";
+  const char* kShaped = "SELECT count(*), nlq_list('diag', X1, X2) FROM T, M";
+  auto set_m = [&](const std::string& rows) {
+    for (Database* d : {db.get(), plain.get()}) {
+      NLQ_ASSERT_OK(d->ExecuteCommand("DROP TABLE M"));
+      NLQ_ASSERT_OK(d->ExecuteCommand("CREATE TABLE M (w DOUBLE)"));
+      NLQ_ASSERT_OK(d->ExecuteCommand("INSERT INTO M VALUES " + rows));
+    }
+  };
+  auto expect_same = [&](const char* sql) -> std::string {
+    auto got = db->Execute(sql);
+    auto want = plain->Execute(sql);
+    EXPECT_TRUE(got.ok() && want.ok()) << sql;
+    if (!got.ok() || !want.ok()) return "";
+    EXPECT_EQ(ResultSignature(*got), ResultSignature(*want)) << sql;
+    return ResultSignature(*got);
+  };
+  for (Database* d : {db.get(), plain.get()}) {
+    CreateT(d);
+    AppendRows(d, 0, 400);
+    NLQ_ASSERT_OK(d->ExecuteCommand("CREATE TABLE M (w DOUBLE)"));
+    NLQ_ASSERT_OK(d->ExecuteCommand("INSERT INTO M VALUES (2.0)"));
+  }
+
+  NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db->Explain(kShaped));
+  EXPECT_NE(plan.find("broadcast: M AS M (1 row)"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("view=stale (seeding 400 row(s))"), std::string::npos)
+      << plan;
+  const std::string scaled_2 = expect_same(kScaled);
+  const std::string shaped_1 = expect_same(kShaped);
+  NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(kShaped));
+  EXPECT_NE(plan.find("view=fresh"), std::string::npos) << plan;
+
+  // A new value in the one-row table: the scaled sum follows it, the
+  // view-served shape does not depend on it.
+  set_m("(3.0)");
+  EXPECT_NE(expect_same(kScaled), scaled_2);
+  EXPECT_EQ(expect_same(kShaped), shaped_1);
+
+  // Two rows: the cross join doubles every row, on the row path.
+  set_m("(3.0), (5.0)");
+  NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(kShaped));
+  EXPECT_NE(plan.find("CrossJoin"), std::string::npos) << plan;
+  expect_same(kScaled);
+  EXPECT_NE(expect_same(kShaped), shaped_1);
+
+  // Back to one row, after appends: the view serves the delta.
+  set_m("(3.0)");
+  for (Database* d : {db.get(), plain.get()}) AppendRows(d, 400, 450);
+  EXPECT_NE(expect_same(kScaled), scaled_2);
+  expect_same(kShaped);
+}
+
 TEST(ViewMaintenanceTest, DisabledByDefault) {
   auto db = nlq::testing::MakeTestDatabase(2);
   EXPECT_EQ(db->view_registry(), nullptr);
