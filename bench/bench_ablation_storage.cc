@@ -43,7 +43,7 @@
 #include "stats/nlq_kernel.h"
 #include "stats/scoring.h"
 #include "storage/buffer_pool.h"
-#include "storage/page.h"
+#include "storage/disk_manager.h"
 #include "storage/partitioned_table.h"
 
 namespace {

@@ -39,17 +39,28 @@ StatusOr<storage::DataType> TypeFromName(std::string_view name) {
 
 constexpr char kStagingSuffix[] = ".tmp";
 
+/// The manifest's first line is kFormatTag + kFormatVersion. Version 2
+/// stores partitions as chunk blobs; the row-page snapshots before it
+/// had no version line.
+constexpr char kFormatTag[] = "nlq-snapshot-format ";
+constexpr char kFormatVersion[] = "2";
+
 /// Writes every partition file and the manifest of `db` into
 /// `directory` under their final names plus kStagingSuffix, appending
 /// each final path to `staged` once its staged file exists.
 Status StageSnapshot(const Database& db, const std::string& directory,
                      std::vector<std::string>* staged) {
   std::ostringstream manifest;
+  manifest << kFormatTag << kFormatVersion << '\n';
   for (const std::string& name : db.catalog().TableNames()) {
     NLQ_ASSIGN_OR_RETURN(storage::PartitionedTable * table,
                          db.catalog().GetTable(name));
     manifest << name << '|' << table->num_partitions() << '|'
-             << SerializeSchema(table->schema()) << '\n';
+             << SerializeSchema(table->schema()) << '|';
+    for (size_t p = 0; p < table->num_partitions(); ++p) {
+      manifest << (p > 0 ? "," : "") << table->partition(p).num_rows();
+    }
+    manifest << '\n';
     for (size_t p = 0; p < table->num_partitions(); ++p) {
       const std::string path = PartitionPath(directory, name, p);
       NLQ_RETURN_IF_ERROR(
@@ -107,8 +118,8 @@ Status SaveDatabase(const Database& db, const std::string& directory) {
   NLQ_RETURN_IF_ERROR(EnsureDirectory(directory));
   // Every file is written under a staging name and renamed into place
   // only once all of them were written, so a save that fails (an
-  // unreadable spilled chunk, a row too large for a page, a full disk)
-  // leaves the previous snapshot whole.
+  // unreadable spilled chunk, an unwritable file, a full disk) leaves
+  // the previous snapshot whole.
   std::vector<std::string> staged;
   const Status status = StageSnapshot(db, directory, &staged);
   if (!status.ok()) {
@@ -132,10 +143,18 @@ Status LoadDatabase(Database* db, const std::string& directory) {
     return Status::IOError("cannot open manifest in '" + directory + "'");
   }
   std::string line;
+  std::getline(manifest, line);
+  if (line != std::string(kFormatTag) + kFormatVersion) {
+    const bool tagged = line.rfind(kFormatTag, 0) == 0;
+    return Status::NotSupported(
+        "snapshot in '" + directory + "' has format version " +
+        (tagged ? "'" + line.substr(sizeof(kFormatTag) - 1) + "'" : "none") +
+        "; this build reads version " + kFormatVersion);
+  }
   while (std::getline(manifest, line)) {
     if (line.empty()) continue;
     const std::vector<std::string_view> fields = SplitString(line, '|');
-    if (fields.size() != 3) {
+    if (fields.size() != 4) {
       return Status::ParseError("malformed manifest line: " + line);
     }
     const std::string name(fields[0]);
@@ -145,6 +164,11 @@ Status LoadDatabase(Database* db, const std::string& directory) {
     }
     NLQ_ASSIGN_OR_RETURN(storage::Schema schema,
                          DeserializeSchema(fields[2]));
+    const std::vector<std::string_view> counts = SplitString(fields[3], ',');
+    if (counts.size() != static_cast<size_t>(partitions)) {
+      return Status::ParseError("manifest row counts do not match the "
+                                "partition count: " + line);
+    }
 
     if (db->catalog().HasTable(name)) {
       NLQ_RETURN_IF_ERROR(db->catalog().DropTable(name));
@@ -154,8 +178,16 @@ Status LoadDatabase(Database* db, const std::string& directory) {
         db->catalog().CreateTable(name, std::move(schema),
                                   static_cast<size_t>(partitions)));
     for (size_t p = 0; p < static_cast<size_t>(partitions); ++p) {
-      NLQ_RETURN_IF_ERROR(table->partition(p).LoadFromFile(
-          PartitionPath(directory, name, p)));
+      const std::string path = PartitionPath(directory, name, p);
+      NLQ_ASSIGN_OR_RETURN(const int64_t rows, ParseInt64(counts[p]));
+      storage::Table& partition = table->partition(p);
+      NLQ_RETURN_IF_ERROR(partition.LoadFromFile(path));
+      if (partition.num_rows() != static_cast<uint64_t>(rows)) {
+        return Status::Corruption(
+            "snapshot file '" + path + "' holds " +
+            std::to_string(partition.num_rows()) + " rows, the manifest " +
+            std::to_string(rows));
+      }
     }
   }
   return Status::OK();

@@ -141,10 +141,6 @@ StatusOr<PageHandle> BufferPool::Pin(uint32_t file_id, uint64_t page_id) {
   }
 }
 
-Status BufferPool::FetchRange(uint32_t file_id, uint64_t first, size_t count) {
-  return LoadRun(file_id, first, count, /*readahead=*/false);
-}
-
 void BufferPool::ScheduleReadahead(uint32_t file_id, uint64_t first,
                                    size_t count) {
   if (count == 0) return;
@@ -226,13 +222,13 @@ size_t BufferPool::ClaimFrameLocked(uint64_t key) {
   return frame;
 }
 
-void BufferPool::FinishLoad(size_t frame, bool ok, bool readahead) {
+void BufferPool::FinishLoad(size_t frame, bool ok) {
   std::lock_guard<std::mutex> lock(mu_);
   Frame& f = frames_[frame];
   f.loading = false;
   if (ok) {
     f.valid = true;
-    f.from_readahead = readahead;
+    f.from_readahead = true;
   } else {
     auto it = page_map_.find(f.key);
     if (it != page_map_.end() && it->second == frame) page_map_.erase(it);
@@ -240,8 +236,7 @@ void BufferPool::FinishLoad(size_t frame, bool ok, bool readahead) {
   loaded_cv_.notify_all();
 }
 
-Status BufferPool::LoadRun(uint32_t file_id, uint64_t first, size_t count,
-                           bool readahead) {
+Status BufferPool::LoadRun(uint32_t file_id, uint64_t first, size_t count) {
   struct Claimed {
     uint64_t page;
     size_t frame;
@@ -283,7 +278,7 @@ Status BufferPool::LoadRun(uint32_t file_id, uint64_t first, size_t count,
       bufs.push_back(frames_[claimed[k].frame].data.get());
     }
     Status s = disk->ReadPages(claimed[i].page, bufs);
-    for (size_t k = i; k < j; ++k) FinishLoad(claimed[k].frame, s.ok(), readahead);
+    for (size_t k = i; k < j; ++k) FinishLoad(claimed[k].frame, s.ok());
     if (s.ok()) {
       loaded += j - i;
     } else if (status.ok()) {
@@ -294,13 +289,9 @@ Status BufferPool::LoadRun(uint32_t file_id, uint64_t first, size_t count,
   if (loaded > 0) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (readahead) {
-        stats_.readahead_pages += loaded;
-      } else {
-        stats_.misses += loaded;
-      }
+      stats_.readahead_pages += loaded;
     }
-    CountPool(readahead ? "pool.readahead_pages" : "pool.misses", loaded);
+    CountPool("pool.readahead_pages", loaded);
   }
   return status;
 }
@@ -318,7 +309,7 @@ void BufferPool::ReadaheadLoop() {
     }
     // Best effort: a failed readahead read just leaves the pages cold
     // and the scan's own Pin reports the real error.
-    (void)LoadRun(req.file_id, req.first, req.count, /*readahead=*/true);
+    (void)LoadRun(req.file_id, req.first, req.count);
     {
       std::lock_guard<std::mutex> lock(ra_mu_);
       ra_busy_ = false;

@@ -13,7 +13,6 @@
 #include "common/memory_tracker.h"
 #include "common/status.h"
 #include "storage/disk_manager.h"
-#include "storage/page.h"
 
 namespace nlq::storage {
 
@@ -65,10 +64,10 @@ struct BufferPoolStats {
 /// Frames hold immutable 64 KB page images of registered files
 /// (spilled segments never change once written, so there is no dirty
 /// state and eviction is free). Lookup pins the frame (clock-swept,
-/// pin-counted); misses read through the DiskManager, bulk misses with
-/// one vectored ReadPages per consecutive run. A background readahead
-/// worker loads announced page runs into unpinned frames so scans find
-/// them warm — the morsel grid is the natural announcement unit.
+/// pin-counted); a miss reads its page through the DiskManager. A
+/// background readahead worker loads announced page runs into unpinned
+/// frames, one vectored ReadPages per consecutive run, so scans find
+/// them warm — the next chunk of a scan is the announcement unit.
 ///
 /// Frame memory is charged to the pool's MemoryTracker on allocation,
 /// so `tracker().peak()` is the provable RSS bound of the storage
@@ -100,12 +99,6 @@ class BufferPool {
   /// Pins the frame holding page (file_id, page_id), reading it from
   /// disk on a miss. The handle unpins on destruction.
   StatusOr<PageHandle> Pin(uint32_t file_id, uint64_t page_id);
-
-  /// Ensures pages [first, first+count) are resident (unpinned),
-  /// reading every missing run with one vectored ReadPages. Pages that
-  /// cannot get a frame (all pinned) are skipped silently — FetchRange
-  /// is an optimization, Pin is the correctness path.
-  Status FetchRange(uint32_t file_id, uint64_t first, size_t count);
 
   /// Queues pages [first, first+count) for the background readahead
   /// worker. Drops the request when the queue is saturated; readahead
@@ -147,13 +140,19 @@ class BufferPool {
   /// SIZE_MAX when no frame is available.
   size_t ClaimFrameLocked(uint64_t key);
 
-  /// Publishes or abandons a claimed frame after I/O (locks mu_).
-  /// A failed load drops the mapping so a later Pin retries the read.
-  void FinishLoad(size_t frame, bool ok, bool readahead);
+  /// Publishes or abandons a frame claimed by readahead after I/O
+  /// (locks mu_). A failed load drops the mapping so a later Pin
+  /// retries the read.
+  void FinishLoad(size_t frame, bool ok);
 
   void ReadaheadLoop();
-  Status LoadRun(uint32_t file_id, uint64_t first, size_t count,
-                 bool readahead);
+
+  /// Loads the missing pages of [first, first+count) into unpinned
+  /// frames for the readahead worker, one vectored ReadPages per
+  /// consecutive run. Pages that cannot get a frame (all pinned) are
+  /// skipped: readahead is an optimization, Pin is the correctness
+  /// path.
+  Status LoadRun(uint32_t file_id, uint64_t first, size_t count);
 
   const uint64_t budget_bytes_;
   MemoryTracker tracker_;

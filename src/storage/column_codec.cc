@@ -88,6 +88,21 @@ void EncodePlain(const uint64_t* bits, size_t rows, std::string* out) {
   out->append(reinterpret_cast<const char*>(bits), rows * 8);
 }
 
+/// VARCHAR payload: a u32 length per row, then the bytes back to back.
+/// False (nothing appended) when it would not fit a u32 payload size.
+bool EncodeStrings(const std::string* strings, size_t rows,
+                   std::string* out) {
+  uint64_t bytes = uint64_t{4} * rows;
+  for (size_t r = 0; r < rows; ++r) bytes += strings[r].size();
+  if (bytes > UINT32_MAX) return false;
+  out->reserve(out->size() + bytes);
+  for (size_t r = 0; r < rows; ++r) {
+    AppendU32(out, static_cast<uint32_t>(strings[r].size()));
+  }
+  for (size_t r = 0; r < rows; ++r) out->append(strings[r]);
+  return true;
+}
+
 bool TryEncodeRle(const uint64_t* bits, size_t rows, size_t budget,
                   std::string* out) {
   const size_t start = out->size();
@@ -234,6 +249,28 @@ Status CorruptionAt(const char* what) {
       StringPrintf("column block: %s", what));
 }
 
+/// Decodes a VARCHAR payload (see EncodeStrings) into col->strings,
+/// already sized to the block's rows.
+Status DecodeStrings(const char* payload, size_t payload_bytes,
+                     ColumnVector* col) {
+  const size_t rows = col->strings.size();
+  if (payload_bytes < rows * 4) {
+    return CorruptionAt("truncated VARCHAR lengths");
+  }
+  size_t pos = rows * 4;
+  for (size_t r = 0; r < rows; ++r) {
+    uint32_t len;
+    std::memcpy(&len, payload + r * 4, 4);
+    if (len > payload_bytes - pos) {
+      return CorruptionAt("VARCHAR bytes overrun block");
+    }
+    col->strings[r].assign(payload + pos, len);
+    pos += len;
+  }
+  if (pos != payload_bytes) return CorruptionAt("trailing VARCHAR bytes");
+  return Status::OK();
+}
+
 }  // namespace
 
 const char* ColumnCodecName(ColumnCodec codec) {
@@ -246,8 +283,12 @@ const char* ColumnCodecName(ColumnCodec codec) {
   return "unknown";
 }
 
-size_t EncodeColumnBlock(const ColumnVector& col, size_t rows,
-                         std::string* out) {
+StatusOr<size_t> EncodeColumnBlock(const ColumnVector& col, size_t rows,
+                                   std::string* out) {
+  if (rows > kChunkRows) {
+    return Status::InvalidArgument("column block of " + std::to_string(rows) +
+                                   " rows exceeds a chunk");
+  }
   const size_t start = out->size();
   out->append(ColumnBlockHeader::kEncodedSize, '\0');  // patched below
 
@@ -256,7 +297,13 @@ size_t EncodeColumnBlock(const ColumnVector& col, size_t rows,
   ColumnCodec codec = ColumnCodec::kPlain;
   const size_t payload_start = out->size();
 
-  if (rows > 0) {
+  if (col.type == DataType::kVarchar) {
+    if (!EncodeStrings(col.strings.data(), rows, out)) {
+      out->resize(start);
+      return Status::InvalidArgument(
+          "VARCHAR column block payload exceeds 4 GiB");
+    }
+  } else if (rows > 0) {
     const SampleStats s = SampleColumn(bits, rows, col.type);
     // Candidate order by estimated size; every candidate self-rejects
     // against the plain budget, so a bad estimate only costs time.
@@ -335,10 +382,14 @@ StatusOr<ColumnBlockHeader> PeekColumnBlockHeader(const char* data,
   if (h.codec > static_cast<uint8_t>(ColumnCodec::kFor)) {
     return CorruptionAt("unknown codec");
   }
-  if (h.type != static_cast<uint8_t>(DataType::kDouble) &&
-      h.type != static_cast<uint8_t>(DataType::kInt64)) {
+  if (h.type > static_cast<uint8_t>(DataType::kVarchar)) {
     return CorruptionAt("bad column type");
   }
+  if (h.type == static_cast<uint8_t>(DataType::kVarchar) &&
+      h.codec != static_cast<uint8_t>(ColumnCodec::kPlain)) {
+    return CorruptionAt("VARCHAR block with a compressing codec");
+  }
+  if (h.rows > kChunkRows) return CorruptionAt("row count exceeds a chunk");
   if (h.null_bytes != 0 &&
       h.null_bytes != NullBitmapWords(h.rows) * 8) {
     return CorruptionAt("null bitmap size mismatch");
@@ -364,6 +415,10 @@ Status DecodeColumnBlock(const char* data, size_t size, size_t* pos,
 
   switch (static_cast<ColumnCodec>(h.codec)) {
     case ColumnCodec::kPlain: {
+      if (col->type == DataType::kVarchar) {
+        NLQ_RETURN_IF_ERROR(DecodeStrings(payload, payload_bytes, col));
+        break;
+      }
       if (payload_bytes != rows * 8) {
         return CorruptionAt("plain payload size mismatch");
       }
@@ -442,10 +497,15 @@ Status DecodeColumnBlock(const char* data, size_t size, size_t* pos,
     uint64_t nulls = 0;
     for (const uint64_t w : col->null_bits) nulls += __builtin_popcountll(w);
     col->null_count = nulls;
-    // NULL slots must hold the canonical 0 the row decoder writes;
-    // any other pattern means the writer and bitmap disagree.
+    // NULL slots hold the canonical 0 / "" that ColumnVector::Append
+    // writes, whatever the payload carried there.
     for (size_t r = 0; r < rows; ++r) {
-      if (NullBitGet(col->null_bits.data(), r)) dst[r] = 0;
+      if (!NullBitGet(col->null_bits.data(), r)) continue;
+      if (col->type == DataType::kVarchar) {
+        col->strings[r].clear();
+      } else {
+        dst[r] = 0;
+      }
     }
   }
   *pos = p;

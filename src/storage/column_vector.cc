@@ -6,14 +6,10 @@ void ColumnVector::Reset(DataType t, size_t rows) {
   type = t;
   // Value slots may keep stale data from the previous cycle (a steady-
   // state resize to the same size is a no-op); the decoder overwrites
-  // every live slot, writing 0/0.0 at NULL positions.
-  if (t == DataType::kDouble) {
-    ints.clear();
-    doubles.resize(rows);
-  } else {
-    doubles.clear();
-    ints.resize(rows);
-  }
+  // every live slot, writing 0 / 0.0 / "" at NULL positions.
+  doubles.resize(t == DataType::kDouble ? rows : 0);
+  ints.resize(t == DataType::kInt64 ? rows : 0);
+  strings.resize(t == DataType::kVarchar ? rows : 0);
   null_bits.assign(NullBitmapWords(rows), 0);
   null_count = 0;
 }
@@ -41,6 +37,34 @@ void ColumnVector::Append(const Datum& v) {
   if (v.is_null()) {
     NullBitSet(null_bits.data(), r);
     ++null_count;
+  }
+}
+
+void ColumnVector::AppendRange(const ColumnVector& src, size_t begin,
+                               size_t count) {
+  const size_t r0 = size();
+  switch (type) {
+    case DataType::kDouble:
+      doubles.insert(doubles.end(), src.doubles.begin() + begin,
+                     src.doubles.begin() + begin + count);
+      break;
+    case DataType::kInt64:
+      ints.insert(ints.end(), src.ints.begin() + begin,
+                  src.ints.begin() + begin + count);
+      break;
+    case DataType::kVarchar:
+      strings.insert(strings.end(), src.strings.begin() + begin,
+                     src.strings.begin() + begin + count);
+      break;
+  }
+  if (!src.has_nulls() && null_count == 0) return;
+  null_bits.resize(NullBitmapWords(r0 + count), 0);
+  if (!src.has_nulls()) return;
+  for (size_t r = 0; r < count; ++r) {
+    if (NullBitGet(src.null_bits.data(), begin + r)) {
+      NullBitSet(null_bits.data(), r0 + r);
+      ++null_count;
+    }
   }
 }
 

@@ -12,8 +12,8 @@ namespace nlq::storage {
 
 /// Rows per column chunk — the one physical-layout constant. Every
 /// table partition is a run of chunks of this many rows (the last one
-/// is the open tail taking appends); spilling encodes the same chunks,
-/// and a spilled scan decodes one chunk at a time.
+/// is the open tail taking appends); spill and snapshot files encode
+/// the same chunks, and a spilled scan decodes one chunk at a time.
 inline constexpr size_t kChunkRows = 4096;
 
 /// Null-bitmap helpers: bit `r` set means row `r` is NULL. The bitmap
@@ -43,16 +43,20 @@ struct ColumnVector {
   uint64_t null_count = 0;
 
   /// Resizes the value array and zeroes the null bitmap for `rows`
-  /// rows of fixed-width type `t` (the codec's decode target).
-  /// Existing heap capacity is reused.
+  /// rows of type `t` (the codec's decode target). Existing heap
+  /// capacity is reused.
   void Reset(DataType t, size_t rows);
 
-  /// Appends `v` as the next row, coerced to the column type exactly
-  /// like the row codec (numerics widen or truncate; NULL stores the
-  /// canonical zero slot plus its null bit). The value array grows
-  /// geometrically with the rows; the bitmap is allocated at the first
-  /// NULL.
+  /// Appends `v` as the next row, coerced to the column type (a BIGINT
+  /// widens into a DOUBLE column, a DOUBLE truncates into a BIGINT
+  /// one; NULL stores the canonical zero / "" slot plus its null bit).
+  /// The value array grows geometrically with the rows; the bitmap is
+  /// allocated at the first NULL.
   void Append(const Datum& v);
+
+  /// Appends rows [begin, begin + count) of `src`, a column of the same
+  /// type, values and null bits alike.
+  void AppendRange(const ColumnVector& src, size_t begin, size_t count);
 
   /// Rows held.
   size_t size() const;

@@ -54,16 +54,22 @@ StatusOr<uint64_t> DiskManager::PageCount() const {
   if (fd_ < 0) return Status::Internal("DiskManager not open");
   struct stat st;
   if (::fstat(fd_, &st) != 0) return ErrnoStatus("fstat", path_);
-  return static_cast<uint64_t>(st.st_size) / kPageSize;
+  const uint64_t bytes = static_cast<uint64_t>(st.st_size);
+  if (bytes % kPageSize != 0) {
+    return Status::Corruption("file '" + path_ + "' of " +
+                              std::to_string(bytes) +
+                              " bytes ends in a partial page");
+  }
+  return bytes / kPageSize;
 }
 
-Status DiskManager::WritePage(uint64_t page_id, const Page& page) {
+Status DiskManager::WritePage(uint64_t page_id, const char* data) {
   if (fd_ < 0) return Status::Internal("DiskManager not open");
   NLQ_FAILPOINT("disk_io");
   const off_t offset = static_cast<off_t>(page_id * kPageSize);
   size_t written = 0;
   while (written < kPageSize) {
-    const ssize_t n = ::pwrite(fd_, page.raw() + written, kPageSize - written,
+    const ssize_t n = ::pwrite(fd_, data + written, kPageSize - written,
                                offset + static_cast<off_t>(written));
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -72,25 +78,6 @@ Status DiskManager::WritePage(uint64_t page_id, const Page& page) {
     written += static_cast<size_t>(n);
   }
   CountIo("disk.pages_written", "disk.write_bytes", 1);
-  return Status::OK();
-}
-
-Status DiskManager::ReadPage(uint64_t page_id, Page* page) const {
-  if (fd_ < 0) return Status::Internal("DiskManager not open");
-  NLQ_FAILPOINT("disk_io");
-  const off_t offset = static_cast<off_t>(page_id * kPageSize);
-  size_t read = 0;
-  while (read < kPageSize) {
-    const ssize_t n = ::pread(fd_, page->raw() + read, kPageSize - read,
-                              offset + static_cast<off_t>(read));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("pread", path_);
-    }
-    if (n == 0) return Status::IOError("short read: page beyond end of file");
-    read += static_cast<size_t>(n);
-  }
-  CountIo("disk.pages_read", "disk.read_bytes", 1);
   return Status::OK();
 }
 

@@ -6,14 +6,19 @@
 #include <vector>
 
 #include "common/status.h"
-#include "storage/page.h"
 
 namespace nlq::storage {
 
+/// Fixed page size: the unit of every storage file. A chunk blob
+/// (spill_segment.h) is padded to whole pages, and the buffer pool
+/// caches pages. 64 KB mirrors the Teradata segment granularity the
+/// paper mentions.
+inline constexpr size_t kPageSize = 64 * 1024;
+
 /// Page-granular file I/O (pread/pwrite on a single backing file).
-/// Tables use it to persist and reload page runs, the buffer pool
-/// fronts it for spilled segments, and the tests use it to verify that
-/// page images round-trip through disk.
+/// The chunk writer stores spill and snapshot files through it, the
+/// buffer pool fronts it for spilled segments, and snapshot loads read
+/// page runs straight from it.
 ///
 /// Reads and writes tick the process metrics registry
 /// (`disk.pages_read` / `disk.read_bytes` / `disk.pages_written` /
@@ -37,14 +42,13 @@ class DiskManager {
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
 
-  /// Number of whole pages currently in the file.
+  /// Number of pages currently in the file; kCorruption when the file
+  /// ends in a partial page (every writer writes whole pages).
   StatusOr<uint64_t> PageCount() const;
 
-  /// Writes a full page image at index `page_id`.
-  Status WritePage(uint64_t page_id, const Page& page);
-
-  /// Reads the page at index `page_id` into `*page`.
-  Status ReadPage(uint64_t page_id, Page* page) const;
+  /// Writes the kPageSize bytes at `data` as the page at index
+  /// `page_id`.
+  Status WritePage(uint64_t page_id, const char* data);
 
   /// Vectored read of `bufs.size()` consecutive pages starting at
   /// `first_page`, scattering page i into bufs[i] (each a kPageSize

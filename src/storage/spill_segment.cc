@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "storage/column_codec.h"
 #include "storage/table.h"
@@ -11,22 +12,161 @@
 namespace nlq::storage {
 namespace {
 
-/// Chunk blob header: [u32 magic][u32 rows][u32 cols][u32 reserved],
-/// followed by one column block per schema column, in schema order.
-constexpr uint32_t kChunkMagic = 0x6B68634E;  // "Nchk"
-constexpr size_t kChunkHeaderSize = 16;
-
-void AppendU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), 4);
-}
-
 uint32_t ReadU32(const char* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
   return v;
 }
 
+void WriteU32(char* p, uint32_t v) { std::memcpy(p, &v, 4); }
+
+size_t PagesFor(size_t bytes) { return (bytes + kPageSize - 1) / kPageSize; }
+
+/// A chunk blob's header (see WriteChunks).
+struct ChunkHeader {
+  static constexpr uint32_t kMagic = 0x6B68634E;  // "Nchk"
+  static constexpr size_t kEncodedSize = 16;
+
+  uint32_t rows = 0;   // 1..kChunkRows
+  uint32_t cols = 0;
+  uint32_t pages = 0;  // >= 1
+};
+
+/// Reads the header at the start of a chunk blob of `size` bytes.
+/// kCorruption for a short buffer, a bad magic, a row count outside
+/// [1, kChunkRows] or zero pages.
+StatusOr<ChunkHeader> PeekChunkHeader(const char* data, size_t size) {
+  if (size < ChunkHeader::kEncodedSize) {
+    return Status::Corruption("chunk truncated before its header");
+  }
+  if (ReadU32(data) != ChunkHeader::kMagic) {
+    return Status::Corruption("chunk has a bad magic");
+  }
+  ChunkHeader h;
+  h.rows = ReadU32(data + 4);
+  h.cols = ReadU32(data + 8);
+  h.pages = ReadU32(data + 12);
+  if (h.rows == 0 || h.rows > kChunkRows) {
+    return Status::Corruption("chunk row count " + std::to_string(h.rows) +
+                              " out of range");
+  }
+  if (h.pages == 0) return Status::Corruption("chunk of zero pages");
+  return h;
+}
+
+/// The chunk decoder: decodes the blob `data[0, size)` of a table with
+/// `schema`. Checks the header, every block's type and row count and
+/// the blob's page count against them, decodes the columns whose
+/// `dests[slot]` is set and header-skips the others.
+StatusOr<ChunkHeader> DecodeChunk(const char* data, size_t size,
+                                  const Schema& schema,
+                                  const std::vector<ColumnVector*>& dests) {
+  NLQ_ASSIGN_OR_RETURN(const ChunkHeader h, PeekChunkHeader(data, size));
+  if (h.cols != schema.num_columns()) {
+    return Status::Corruption("chunk has " + std::to_string(h.cols) +
+                              " columns, the table " +
+                              std::to_string(schema.num_columns()));
+  }
+  size_t pos = ChunkHeader::kEncodedSize;
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    size_t payload = pos;
+    NLQ_ASSIGN_OR_RETURN(const ColumnBlockHeader block,
+                         PeekColumnBlockHeader(data, size, &payload));
+    if (block.type != static_cast<uint8_t>(schema.column(c).type) ||
+        block.rows != h.rows) {
+      return Status::Corruption("chunk column " + std::to_string(c) +
+                                " block does not match the table");
+    }
+    if (dests[c] != nullptr) {
+      NLQ_RETURN_IF_ERROR(DecodeColumnBlock(data, size, &pos, dests[c]));
+    } else {
+      pos += ColumnBlockBytes(block);
+    }
+  }
+  if (PagesFor(pos) != h.pages) {
+    return Status::Corruption("chunk page count does not match its blocks");
+  }
+  return h;
+}
+
 }  // namespace
+
+StatusOr<std::vector<SpillChunkInfo>> WriteChunks(const Table& table,
+                                                  DiskManager* disk) {
+  std::vector<size_t> all_columns(table.schema().num_columns());
+  std::iota(all_columns.begin(), all_columns.end(), size_t{0});
+  // The range starts at row 0 and a window never crosses a chunk, so
+  // every window is one whole chunk, spilled or resident, whose columns
+  // encode as they are.
+  ChunkCursor cursor(&table, all_columns, 0, table.num_rows());
+  std::vector<SpillChunkInfo> chunks;
+  std::string blob;
+  uint64_t next_page = 0;
+  uint64_t first = 0;
+  while (cursor.Next(kChunkRows)) {
+    const size_t rows = cursor.rows();
+    blob.assign(ChunkHeader::kEncodedSize, '\0');  // patched below
+    for (size_t c = 0; c < all_columns.size(); ++c) {
+      NLQ_RETURN_IF_ERROR(
+          EncodeColumnBlock(cursor.column(c), rows, &blob).status());
+    }
+
+    SpillChunkInfo info;
+    info.first_row = first;
+    info.rows = static_cast<uint32_t>(rows);
+    info.first_page = next_page;
+    info.pages = static_cast<uint32_t>(PagesFor(blob.size()));
+    info.bytes = blob.size();
+    WriteU32(blob.data(), ChunkHeader::kMagic);
+    WriteU32(blob.data() + 4, info.rows);
+    WriteU32(blob.data() + 8, static_cast<uint32_t>(all_columns.size()));
+    WriteU32(blob.data() + 12, info.pages);
+    blob.resize(static_cast<size_t>(info.pages) * kPageSize, '\0');
+    for (uint32_t p = 0; p < info.pages; ++p) {
+      NLQ_RETURN_IF_ERROR(disk->WritePage(
+          next_page + p, blob.data() + static_cast<size_t>(p) * kPageSize));
+    }
+    next_page += info.pages;
+    first += rows;
+    chunks.push_back(info);
+  }
+  NLQ_RETURN_IF_ERROR(cursor.status());
+  return chunks;
+}
+
+Status ReadChunks(
+    const DiskManager& disk, const Schema& schema,
+    const std::function<void(std::vector<ColumnVector>, size_t)>& sink) {
+  NLQ_ASSIGN_OR_RETURN(const uint64_t file_pages, disk.PageCount());
+  std::string blob;
+  uint64_t page = 0;
+  while (page < file_pages) {
+    // The first page holds the header, which says how many more pages
+    // the blob spans.
+    blob.resize(kPageSize);
+    NLQ_RETURN_IF_ERROR(disk.ReadPages(page, {blob.data()}));
+    NLQ_ASSIGN_OR_RETURN(const ChunkHeader h,
+                         PeekChunkHeader(blob.data(), blob.size()));
+    if (h.pages > file_pages - page) {
+      return Status::Corruption("chunk at page " + std::to_string(page) +
+                                " runs past the end of the file");
+    }
+    blob.resize(static_cast<size_t>(h.pages) * kPageSize);
+    std::vector<char*> rest;
+    for (uint32_t p = 1; p < h.pages; ++p) {
+      rest.push_back(blob.data() + static_cast<size_t>(p) * kPageSize);
+    }
+    NLQ_RETURN_IF_ERROR(disk.ReadPages(page + 1, rest));
+    std::vector<ColumnVector> chunk(schema.num_columns());
+    std::vector<ColumnVector*> dests;
+    for (ColumnVector& col : chunk) dests.push_back(&col);
+    NLQ_RETURN_IF_ERROR(
+        DecodeChunk(blob.data(), blob.size(), schema, dests).status());
+    sink(std::move(chunk), h.rows);
+    page += h.pages;
+  }
+  return Status::OK();
+}
 
 StatusOr<std::unique_ptr<SpillSegment>> SpillSegment::Create(
     const Table& table, const std::string& path, BufferPool* pool) {
@@ -34,16 +174,7 @@ StatusOr<std::unique_ptr<SpillSegment>> SpillSegment::Create(
     return Status::InvalidArgument("SpillSegment requires a buffer pool");
   }
   const Schema& schema = table.schema();
-  std::vector<size_t> all_columns;
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    if (schema.column(c).type == DataType::kVarchar) {
-      return Status::NotSupported(
-          "cannot spill table with VARCHAR column '" + schema.column(c).name +
-          "': columnar codecs cover fixed-width types only");
-    }
-    all_columns.push_back(c);
-  }
-  if (all_columns.empty()) {
+  if (schema.num_columns() == 0) {
     return Status::NotSupported("cannot spill table with no columns");
   }
 
@@ -55,45 +186,12 @@ StatusOr<std::unique_ptr<SpillSegment>> SpillSegment::Create(
   ::unlink(path.c_str());
 
   seg->num_rows_ = table.num_rows();
-  seg->num_columns_ = all_columns.size();
-
-  // A resident table's chunks start at row 0 and hold kChunkRows rows
-  // each but the tail, so every cursor window is one whole chunk whose
-  // columns encode as they are.
-  ChunkCursor cursor(&table, all_columns, 0, table.num_rows());
-  std::string blob;
-  Page io_page;
-  uint64_t next_page = 0;
-  uint64_t first = 0;
-  while (cursor.Next(kChunkRows)) {
-    const size_t rows = cursor.rows();
-    blob.clear();
-    AppendU32(&blob, kChunkMagic);
-    AppendU32(&blob, static_cast<uint32_t>(rows));
-    AppendU32(&blob, static_cast<uint32_t>(all_columns.size()));
-    AppendU32(&blob, 0);
-    for (size_t c = 0; c < all_columns.size(); ++c) {
-      EncodeColumnBlock(cursor.column(c), rows, &blob);
-    }
-
-    SpillChunkInfo info;
-    info.first_row = first;
-    info.rows = static_cast<uint32_t>(rows);
-    info.first_page = next_page;
-    info.pages = static_cast<uint32_t>((blob.size() + kPageSize - 1) / kPageSize);
-    info.bytes = blob.size();
-    for (uint32_t p = 0; p < info.pages; ++p) {
-      const size_t off = static_cast<size_t>(p) * kPageSize;
-      const size_t n = std::min(kPageSize, blob.size() - off);
-      std::memcpy(io_page.raw(), blob.data() + off, n);
-      NLQ_RETURN_IF_ERROR(seg->disk_->WritePage(next_page + p, io_page));
-    }
-    next_page += info.pages;
-    first += rows;
-    seg->compressed_bytes_ += info.bytes;
-    seg->chunks_.push_back(info);
+  seg->raw_bytes_ = table.data_bytes();
+  seg->schema_ = schema;
+  NLQ_ASSIGN_OR_RETURN(seg->chunks_, WriteChunks(table, seg->disk_.get()));
+  for (const SpillChunkInfo& ck : seg->chunks_) {
+    seg->compressed_bytes_ += ck.bytes;
   }
-  NLQ_RETURN_IF_ERROR(cursor.status());
 
   seg->pool_ = pool;
   seg->file_id_ = pool->RegisterFile(seg->disk_.get());
@@ -129,41 +227,18 @@ Status SpillSegment::ReadChunk(size_t chunk_idx,
     std::memcpy(scratch->data() + off, pin->data(), n);
   }
 
-  const char* data = scratch->data();
-  const size_t size = scratch->size();
-  if (size < kChunkHeaderSize) {
-    return Status::Corruption("spill chunk truncated before header");
-  }
-  if (ReadU32(data) != kChunkMagic) {
-    return Status::Corruption("spill chunk bad magic");
-  }
-  const uint32_t rows = ReadU32(data + 4);
-  const uint32_t cols = ReadU32(data + 8);
-  if (rows != ck.rows || cols != num_columns_) {
-    return Status::Corruption("spill chunk header mismatch");
-  }
-
-  std::vector<ColumnVector*> by_slot(num_columns_, nullptr);
+  std::vector<ColumnVector*> by_slot(schema_.num_columns(), nullptr);
   for (size_t i = 0; i < columns.size(); ++i) {
-    if (columns[i] >= num_columns_) {
+    if (columns[i] >= schema_.num_columns()) {
       return Status::InvalidArgument("ReadChunk column slot out of range");
     }
     by_slot[columns[i]] = dests[i];
   }
-
-  size_t pos = kChunkHeaderSize;
-  for (size_t c = 0; c < num_columns_; ++c) {
-    if (by_slot[c] != nullptr) {
-      NLQ_RETURN_IF_ERROR(DecodeColumnBlock(data, size, &pos, by_slot[c]));
-    } else {
-      size_t peek = pos;
-      NLQ_ASSIGN_OR_RETURN(ColumnBlockHeader h,
-                           PeekColumnBlockHeader(data, size, &peek));
-      pos += ColumnBlockBytes(h);
-      if (pos > size) {
-        return Status::Corruption("spill chunk column block overruns chunk");
-      }
-    }
+  NLQ_ASSIGN_OR_RETURN(
+      const ChunkHeader h,
+      DecodeChunk(scratch->data(), scratch->size(), schema_, by_slot));
+  if (h.rows != ck.rows || h.pages != ck.pages) {
+    return Status::Corruption("spill chunk header mismatch");
   }
   return Status::OK();
 }

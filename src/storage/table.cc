@@ -6,8 +6,6 @@
 
 #include "common/failpoint.h"
 #include "storage/disk_manager.h"
-#include "storage/page.h"
-#include "storage/row_codec.h"
 
 namespace nlq::storage {
 
@@ -76,44 +74,11 @@ bool ChunkCursor::LoadNextChunk() {
 
 namespace {
 
-/// Largest encoded row a snapshot page holds.
-constexpr size_t kMaxRowBytes = kPageSize - Page::kHeaderSize;
-
 /// Every schema slot index: row readers project the whole row.
 std::vector<size_t> AllSlots(const Schema& schema) {
   std::vector<size_t> slots(schema.num_columns());
   for (size_t i = 0; i < slots.size(); ++i) slots[i] = i;
   return slots;
-}
-
-/// Packs `table`'s rows in order into snapshot pages on `disk`, a new
-/// page whenever the next row does not fit, and syncs.
-Status WriteSnapshotPages(const Table& table, DiskManager* disk) {
-  const RowCodec codec(&table.schema());
-  std::string encoded;
-  Page page;
-  uint64_t page_id = 0;
-  BatchScanner scanner = table.ScanBatch();
-  RowBatch batch;
-  while (scanner.Next(&batch)) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      encoded.clear();
-      codec.Encode(batch.row(i), &encoded);
-      if (encoded.size() > kMaxRowBytes) {
-        return Status::InvalidArgument(
-            "row of " + std::to_string(encoded.size()) +
-            " bytes does not fit a snapshot page");
-      }
-      if (!page.Fits(encoded.size())) {
-        NLQ_RETURN_IF_ERROR(disk->WritePage(page_id++, page));
-        page = Page();
-      }
-      page.AppendEncodedRow(encoded.data(), encoded.size());
-    }
-  }
-  NLQ_RETURN_IF_ERROR(scanner.status());
-  if (page.row_count() > 0) NLQ_RETURN_IF_ERROR(disk->WritePage(page_id, page));
-  return disk->Sync();
 }
 
 }  // namespace
@@ -153,12 +118,6 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {}
 
 Status Table::AppendRow(const Row& row) {
   NLQ_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  const size_t encoded = RowCodec(&schema_).EncodedSize(row);
-  if (encoded > kMaxRowBytes) {
-    return Status::InvalidArgument(
-        "row of " + std::to_string(encoded) + " encoded bytes exceeds the " +
-        std::to_string(kMaxRowBytes) + "-byte snapshot page limit");
-  }
   AppendRowUnchecked(row);
   return Status::OK();
 }
@@ -210,10 +169,42 @@ Status Table::SpillToDisk(const std::string& path, BufferPool* pool) {
   return Status::OK();
 }
 
+void Table::AppendDecodedChunk(std::vector<ColumnVector> chunk, size_t rows) {
+  for (const ColumnVector& col : chunk) {
+    if (col.type != DataType::kVarchar) {
+      data_bytes_ += rows * sizeof(double);
+      continue;
+    }
+    for (const std::string& value : col.strings) data_bytes_ += value.size();
+  }
+  const size_t tail_rows =
+      static_cast<size_t>((num_rows_ - spilled_rows()) % kChunkRows);
+  num_rows_ += rows;
+  if (tail_rows == 0) {
+    chunks_.push_back(std::move(chunk));
+    return;
+  }
+  // A short chunk came before this one (a spilled table's last spilled
+  // chunk): top up the open tail, then open a fresh one with the rest,
+  // so every resident chunk but the last holds kChunkRows rows.
+  const size_t take = std::min(rows, kChunkRows - tail_rows);
+  std::vector<ColumnVector>& tail = chunks_.back();
+  for (size_t c = 0; c < chunk.size(); ++c) {
+    tail[c].AppendRange(chunk[c], 0, take);
+  }
+  if (take == rows) return;
+  std::vector<ColumnVector>& fresh = chunks_.emplace_back(chunk.size());
+  for (size_t c = 0; c < chunk.size(); ++c) {
+    fresh[c].type = chunk[c].type;
+    fresh[c].AppendRange(chunk[c], take, rows - take);
+  }
+}
+
 Status Table::SaveToFile(const std::string& path) const {
   DiskManager disk;
   NLQ_RETURN_IF_ERROR(disk.Open(path, /*truncate=*/true));
-  const Status status = WriteSnapshotPages(*this, &disk);
+  Status status = WriteChunks(*this, &disk).status();
+  if (status.ok()) status = disk.Sync();
   // Never leave a partial file behind: it would load as a shorter table.
   if (!status.ok()) ::unlink(path.c_str());
   return status;
@@ -224,28 +215,19 @@ Status Table::LoadFromFile(const std::string& path) {
   if (::access(path.c_str(), F_OK) != 0) {
     return Status::NotFound("no snapshot file '" + path + "'");
   }
-  DiskManager disk;
-  NLQ_RETURN_IF_ERROR(disk.Open(path, /*truncate=*/false));
-  NLQ_ASSIGN_OR_RETURN(uint64_t page_count, disk.PageCount());
   Clear();
-  const RowCodec codec(&schema_);
-  Page page;
-  Row row;
-  for (uint64_t i = 0; i < page_count; ++i) {
-    NLQ_RETURN_IF_ERROR(disk.ReadPage(i, &page));
-    if (page.used_bytes() < Page::kHeaderSize ||
-        page.used_bytes() > kPageSize) {
-      return Status::Corruption("snapshot page " + std::to_string(i) +
-                                " has a bad used-bytes header");
-    }
-    size_t offset = 0;
-    for (uint32_t r = 0; r < page.row_count(); ++r) {
-      NLQ_RETURN_IF_ERROR(codec.Decode(page.payload(), page.payload_size(),
-                                       &offset, &row));
-      AppendRowUnchecked(row);
-    }
+  DiskManager disk;
+  Status status = disk.Open(path, /*truncate=*/false);
+  if (status.ok()) {
+    status = ReadChunks(disk, schema_,
+                        [this](std::vector<ColumnVector> chunk, size_t rows) {
+                          AppendDecodedChunk(std::move(chunk), rows);
+                        });
   }
-  return Status::OK();
+  if (status.ok()) return status;
+  Clear();
+  return Status(status.code(),
+                "snapshot file '" + path + "': " + status.message());
 }
 
 }  // namespace nlq::storage

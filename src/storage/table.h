@@ -140,9 +140,7 @@ class Table {
   /// the string bytes of VARCHAR values. Null bitmaps are not counted.
   uint64_t data_bytes() const { return data_bytes_; }
 
-  /// Validates against the schema and appends. Rejects a row whose
-  /// snapshot encoding exceeds one snapshot page, so every table this
-  /// path fills can be saved.
+  /// Validates against the schema and appends.
   Status AppendRow(const Row& row);
 
   /// Appends without schema validation (trusted bulk-load path).
@@ -153,7 +151,7 @@ class Table {
   /// frees the in-memory columns — the larger-than-RAM mode of the
   /// engine. Every reader serves the same rows in the same order
   /// afterwards; appends land in a new resident tail. kNotSupported
-  /// when already spilled and for VARCHAR schemas.
+  /// when already spilled.
   Status SpillToDisk(const std::string& path, BufferPool* pool);
 
   bool is_spilled() const { return spill_ != nullptr; }
@@ -177,16 +175,18 @@ class Table {
   /// an empty in-memory one (the spill file is dropped).
   void Clear();
 
-  /// Writes the rows to `path` in the snapshot format: RowCodec rows
-  /// packed in order into 64 KB pages, a new page whenever the next
-  /// row does not fit (no catalog metadata; the caller re-creates the
-  /// schema). Spilled rows are read back through the buffer pool. A
-  /// failed save removes the file rather than leave part of it.
+  /// Writes the rows to `path` as chunk blobs (WriteChunks, the spill's
+  /// writer; no catalog metadata, the caller re-creates the schema).
+  /// Spilled rows are read back through the buffer pool. A failed save
+  /// removes the file rather than leave part of it.
   Status SaveToFile(const std::string& path) const;
 
-  /// Replaces this table's rows with the content of `path`. The file
-  /// must have been produced by SaveToFile with the same schema;
-  /// kNotFound when it does not exist.
+  /// Replaces this table's rows with the content of `path`, written by
+  /// SaveToFile with the same schema: each chunk blob is decoded
+  /// straight into resident chunks, re-cut to kChunkRows rows apiece.
+  /// kNotFound when the file does not exist; any other failure names
+  /// the file and leaves the table empty. A file cut on a chunk
+  /// boundary loads as a shorter table — the caller checks the count.
   Status LoadFromFile(const std::string& path);
 
  private:
@@ -194,6 +194,12 @@ class Table {
 
   /// Rows held by the spill segment; resident chunks start here.
   uint64_t spilled_rows() const { return spill_ ? spill_->num_rows() : 0; }
+
+  /// Appends the decoded chunk `chunk` (one column per schema slot,
+  /// `rows` rows each) behind the resident rows: moved in whole when
+  /// the resident chunks are full, otherwise copied into the open tail
+  /// and, past kChunkRows, a fresh one.
+  void AppendDecodedChunk(std::vector<ColumnVector> chunk, size_t rows);
 
   Schema schema_;
   uint64_t num_rows_ = 0;

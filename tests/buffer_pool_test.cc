@@ -1,6 +1,5 @@
 // Buffer pool (storage/buffer_pool.h): pin/unpin lifetime, clock
-// eviction under a bounded frame budget, vectored range fetch,
-// background readahead, counter accounting and the all-pinned
+// eviction under a bounded frame budget, background readahead, counter accounting and the all-pinned
 // kResourceExhausted edge. The pool is the RSS ceiling of spilled
 // scans, so the MemoryTracker bound is asserted here too.
 
@@ -14,7 +13,6 @@
 #include "common/status.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
-#include "storage/page.h"
 #include "tests/test_util.h"
 
 namespace nlq::storage {
@@ -36,15 +34,13 @@ class BufferPoolTest : public ::testing::Test {
   /// Writes `n` pages whose payloads are self-identifying (page id
   /// repeated), so any frame mix-up shows as a content mismatch.
   void FillPages(size_t n) {
-    Page page;
+    std::vector<char> page(kPageSize);
     for (uint64_t p = 0; p < n; ++p) {
-      char* raw = page.raw();
-      std::memset(raw, 0, kPageSize);
       for (size_t off = 0; off + sizeof(uint64_t) <= kPageSize;
            off += sizeof(uint64_t)) {
-        std::memcpy(raw + off, &p, sizeof(uint64_t));
+        std::memcpy(page.data() + off, &p, sizeof(uint64_t));
       }
-      NLQ_ASSERT_OK(disk_.WritePage(p, page));
+      NLQ_ASSERT_OK(disk_.WritePage(p, page.data()));
     }
   }
 
@@ -125,22 +121,6 @@ TEST_F(BufferPoolTest, AllPinnedFailsResourceExhaustedNotDeadlock) {
   held.pop_back();
   NLQ_ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Pin(file, frames));
   EXPECT_EQ(PageStamp(h.data()), frames);
-}
-
-TEST_F(BufferPoolTest, FetchRangeLoadsRunsVectored) {
-  FillPages(12);
-  BufferPool pool(kPageSize * 32);
-  const uint32_t file = pool.RegisterFile(&disk_);
-
-  NLQ_ASSERT_OK(pool.FetchRange(file, 2, 8));
-  // Everything in range is now a hit.
-  for (uint64_t p = 2; p < 10; ++p) {
-    NLQ_ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Pin(file, p));
-    EXPECT_EQ(PageStamp(h.data()), p);
-  }
-  const BufferPoolStats s = pool.GetStats();
-  EXPECT_EQ(s.hits, 8u);
-  EXPECT_EQ(s.misses, 8u);  // the range loads count as misses
 }
 
 TEST_F(BufferPoolTest, ReadaheadWarmsFramesInBackground) {

@@ -1,8 +1,9 @@
 // Property tests for the column codecs (storage/column_codec.h):
-// every codec must round-trip bit-exactly across null densities,
-// boundary row counts and adversarial value patterns, and every
-// corruption of an encoded block must fail with kCorruption before
-// any value is published — never UB (the suite runs under ASan in CI).
+// every codec, and the VARCHAR block, must round-trip bit-exactly
+// across null densities, boundary row counts and adversarial value
+// patterns, and every corruption of an encoded block must fail with
+// kCorruption before any value is published — never UB (the suite
+// runs under ASan in CI).
 
 #include <gtest/gtest.h>
 
@@ -44,7 +45,9 @@ uint64_t DoubleToBits(double d) {
 
 /// Value patterns, chosen to steer codec selection: constant → RLE,
 /// few-distinct → dict, monotone BIGINT → FOR, random → plain, plus
-/// IEEE specials that any bit-pattern shortcut would mangle.
+/// IEEE specials that any bit-pattern shortcut would mangle. VARCHAR
+/// columns follow the same shapes with strings; their specials are
+/// the empty string, embedded NULs and non-ASCII bytes.
 enum class Pattern {
   kConstant,
   kMonotone,
@@ -87,9 +90,18 @@ bool RowIsNull(Nulls mode, size_t r) {
   return false;
 }
 
+const char* TypeName(DataType type) {
+  switch (type) {
+    case DataType::kDouble: return "double";
+    case DataType::kInt64: return "int64";
+    case DataType::kVarchar: return "varchar";
+  }
+  return "?";
+}
+
 /// Builds a column of `rows` values following the pattern. NULL slots
-/// get the canonical 0/0.0 the decoder also writes, so equality of the
-/// value arrays is well-defined.
+/// get the canonical 0 / 0.0 / "" the decoder also writes, so equality
+/// of the value arrays is well-defined.
 ColumnVector MakeColumn(DataType type, Pattern pattern, Nulls nulls,
                         size_t rows) {
   ColumnVector col;
@@ -101,7 +113,32 @@ ColumnVector MakeColumn(DataType type, Pattern pattern, Nulls nulls,
       col.null_count++;
       continue;  // Reset already zeroed the value slot
     }
-    if (type == DataType::kDouble) {
+    if (type == DataType::kVarchar) {
+      std::string v;
+      switch (pattern) {
+        case Pattern::kConstant: v = "constant"; break;
+        case Pattern::kMonotone: v = std::to_string(r); break;
+        case Pattern::kFewDistinct: {
+          const uint64_t u = Mix(&rng);
+          static const char* const kSet[4] = {"", "a", "few", "distinct"};
+          v = (u % 10 < 9) ? "common" : kSet[u % 4];
+          break;
+        }
+        case Pattern::kRandom: {
+          v.resize(Mix(&rng) % 64);
+          for (char& c : v) c = static_cast<char>(Mix(&rng));
+          break;
+        }
+        case Pattern::kSpecials: {
+          static const std::string kSpecials[] = {
+              "", std::string(1, '\0'), "\xff\xfe", std::string(300, 'z'),
+              " ", "NULL"};
+          v = kSpecials[r % 6];
+          break;
+        }
+      }
+      col.strings[r] = std::move(v);
+    } else if (type == DataType::kDouble) {
       double v = 0;
       switch (pattern) {
         case Pattern::kConstant: v = 42.5; break;
@@ -163,11 +200,8 @@ void ExpectColumnsBitEqual(const ColumnVector& a, const ColumnVector& b,
                            const std::string& what) {
   ASSERT_EQ(a.type, b.type) << what;
   ASSERT_EQ(a.null_count, b.null_count) << what;
-  const size_t rows =
-      a.type == DataType::kDouble ? a.doubles.size() : a.ints.size();
-  const size_t rows_b =
-      b.type == DataType::kDouble ? b.doubles.size() : b.ints.size();
-  ASSERT_EQ(rows, rows_b) << what;
+  const size_t rows = a.size();
+  ASSERT_EQ(rows, b.size()) << what;
   for (size_t r = 0; r < rows; ++r) {
     const bool null_a =
         a.null_count > 0 && NullBitGet(a.null_bits.data(), r);
@@ -177,8 +211,10 @@ void ExpectColumnsBitEqual(const ColumnVector& a, const ColumnVector& b,
     if (a.type == DataType::kDouble) {
       ASSERT_EQ(DoubleToBits(a.doubles[r]), DoubleToBits(b.doubles[r]))
           << what << " row " << r;
-    } else {
+    } else if (a.type == DataType::kInt64) {
       ASSERT_EQ(a.ints[r], b.ints[r]) << what << " row " << r;
+    } else {
+      ASSERT_EQ(a.strings[r], b.strings[r]) << what << " row " << r;
     }
   }
 }
@@ -189,7 +225,8 @@ void ExpectColumnsBitEqual(const ColumnVector& a, const ColumnVector& b,
 const size_t kRowCounts[] = {0, 1, 1023, 1024, 1025};
 
 TEST(ColumnCodecProperty, RoundTripsBitExactEverywhere) {
-  for (const DataType type : {DataType::kDouble, DataType::kInt64}) {
+  for (const DataType type :
+       {DataType::kDouble, DataType::kInt64, DataType::kVarchar}) {
     for (const Pattern pattern :
          {Pattern::kConstant, Pattern::kMonotone, Pattern::kFewDistinct,
           Pattern::kRandom, Pattern::kSpecials}) {
@@ -197,22 +234,34 @@ TEST(ColumnCodecProperty, RoundTripsBitExactEverywhere) {
                                 Nulls::kAlternating, Nulls::kAll}) {
         for (const size_t rows : kRowCounts) {
           const std::string what =
-              std::string(type == DataType::kDouble ? "double" : "int64") +
+              std::string(TypeName(type)) +
               "/" + PatternName(pattern) + "/nulls=" + NullsName(nulls) +
               "/rows=" + std::to_string(rows);
           const ColumnVector original = MakeColumn(type, pattern, nulls, rows);
           std::string encoded;
-          const size_t bytes = EncodeColumnBlock(original, rows, &encoded);
+          NLQ_ASSERT_OK_AND_ASSIGN(
+              const size_t bytes, EncodeColumnBlock(original, rows, &encoded));
           ASSERT_EQ(bytes, encoded.size()) << what;
           ASSERT_GE(bytes, ColumnBlockHeader::kEncodedSize) << what;
-          // Plain is the ceiling: header + 8 bytes/row + bitmap.
           const size_t bitmap =
               original.null_count > 0
                   ? NullBitmapWords(rows) * sizeof(uint64_t)
                   : 0;
-          ASSERT_LE(bytes,
-                    ColumnBlockHeader::kEncodedSize + rows * 8 + bitmap)
-              << what;
+          if (type == DataType::kVarchar) {
+            // One plain layout: header + u32 length/row + bytes + bitmap.
+            size_t string_bytes = 0;
+            for (const std::string& v : original.strings) {
+              string_bytes += v.size();
+            }
+            ASSERT_EQ(bytes, ColumnBlockHeader::kEncodedSize + rows * 4 +
+                                 string_bytes + bitmap)
+                << what;
+          } else {
+            // Plain is the ceiling: header + 8 bytes/row + bitmap.
+            ASSERT_LE(bytes,
+                      ColumnBlockHeader::kEncodedSize + rows * 8 + bitmap)
+                << what;
+          }
 
           ColumnVector decoded;
           size_t pos = 0;
@@ -237,19 +286,19 @@ TEST(ColumnCodecProperty, CompressiblePatternsActuallyCompress) {
   ColumnVector constant =
       MakeColumn(DataType::kDouble, Pattern::kConstant, Nulls::kNone, rows);
   std::string enc;
-  EncodeColumnBlock(constant, rows, &enc);
+  NLQ_ASSERT_OK(EncodeColumnBlock(constant, rows, &enc).status());
   EXPECT_LT(enc.size() * 20, plain_bytes) << "RLE on a constant column";
 
   ColumnVector monotone =
       MakeColumn(DataType::kInt64, Pattern::kMonotone, Nulls::kNone, rows);
   enc.clear();
-  EncodeColumnBlock(monotone, rows, &enc);
+  NLQ_ASSERT_OK(EncodeColumnBlock(monotone, rows, &enc).status());
   EXPECT_LT(enc.size() * 4, plain_bytes) << "FOR on a monotone BIGINT column";
 
   ColumnVector skewed = MakeColumn(DataType::kDouble, Pattern::kFewDistinct,
                                    Nulls::kNone, rows);
   enc.clear();
-  EncodeColumnBlock(skewed, rows, &enc);
+  NLQ_ASSERT_OK(EncodeColumnBlock(skewed, rows, &enc).status());
   EXPECT_LT(enc.size() * 4, plain_bytes) << "dict on a 5-distinct column";
 }
 
@@ -260,7 +309,7 @@ TEST(ColumnCodecProperty, CompressiblePatternsActuallyCompress) {
 std::string EncodeSample(Pattern pattern, DataType type) {
   const ColumnVector col = MakeColumn(type, pattern, Nulls::kSparse, 257);
   std::string out;
-  EncodeColumnBlock(col, 257, &out);
+  EXPECT_TRUE(EncodeColumnBlock(col, 257, &out).ok());
   return out;
 }
 
@@ -273,26 +322,27 @@ void ExpectCorruption(const std::string& bytes, const std::string& what) {
 }
 
 TEST(ColumnCodecCorruption, TruncationAtEveryBoundaryFailsCleanly) {
-  for (const Pattern pattern :
-       {Pattern::kConstant, Pattern::kMonotone, Pattern::kFewDistinct,
-        Pattern::kRandom}) {
-    const std::string full = EncodeSample(pattern, DataType::kDouble);
-    // Cut at the header, inside the payload, and one byte short.
-    for (const size_t cut :
-         {size_t{0}, size_t{1}, ColumnBlockHeader::kEncodedSize - 1,
-          ColumnBlockHeader::kEncodedSize, full.size() / 2,
-          full.size() - 1}) {
-      if (cut >= full.size()) continue;
-      ExpectCorruption(full.substr(0, cut),
-                       std::string(PatternName(pattern)) + " cut at " +
-                           std::to_string(cut));
+  for (const DataType type : {DataType::kDouble, DataType::kVarchar}) {
+    for (const Pattern pattern :
+         {Pattern::kConstant, Pattern::kMonotone, Pattern::kFewDistinct,
+          Pattern::kRandom}) {
+      const std::string full = EncodeSample(pattern, type);
+      // Cut at the header, inside the payload, and one byte short.
+      for (const size_t cut :
+           {size_t{0}, size_t{1}, ColumnBlockHeader::kEncodedSize - 1,
+            ColumnBlockHeader::kEncodedSize, full.size() / 2,
+            full.size() - 1}) {
+        if (cut >= full.size()) continue;
+        ExpectCorruption(full.substr(0, cut),
+                         std::string(TypeName(type)) + "/" +
+                             PatternName(pattern) + " cut at " +
+                             std::to_string(cut));
+      }
     }
   }
 }
 
 TEST(ColumnCodecCorruption, HeaderFieldMutationsFailCleanly) {
-  const std::string full = EncodeSample(Pattern::kFewDistinct,
-                                        DataType::kInt64);
   struct Mutation {
     size_t offset;
     char value;
@@ -305,15 +355,33 @@ TEST(ColumnCodecCorruption, HeaderFieldMutationsFailCleanly) {
       {4, 77, "codec id"},
       {5, 9, "type id"},
       {8, '\xff', "row count low byte"},
+      {9, '\x7f', "row count past a chunk"},
       {12, '\xff', "payload size low byte"},
       {16, '\x7f', "null bytes"},
   };
-  for (const Mutation& m : mutations) {
-    std::string bytes = full;
-    ASSERT_LT(m.offset, bytes.size());
-    bytes[m.offset] = m.value;
-    ExpectCorruption(bytes, m.what);
+  for (const DataType type : {DataType::kInt64, DataType::kVarchar}) {
+    const std::string full = EncodeSample(Pattern::kFewDistinct, type);
+    for (const Mutation& m : mutations) {
+      std::string bytes = full;
+      ASSERT_LT(m.offset, bytes.size());
+      bytes[m.offset] = m.value;
+      ExpectCorruption(bytes, std::string(TypeName(type)) + " " + m.what);
+    }
   }
+  // A VARCHAR block is always plain: any compressing codec id is bad.
+  std::string bytes = EncodeSample(Pattern::kFewDistinct, DataType::kVarchar);
+  bytes[4] = static_cast<char>(ColumnCodec::kRle);
+  ExpectCorruption(bytes, "VARCHAR block claiming RLE");
+}
+
+TEST(ColumnCodecCorruption, VarcharLengthOverrunFailsCleanly) {
+  // Inflating one string length past the payload must be rejected, not
+  // read past the block.
+  std::string bytes = EncodeSample(Pattern::kRandom, DataType::kVarchar);
+  const uint32_t huge = 0x7fffffff;
+  std::memcpy(bytes.data() + ColumnBlockHeader::kEncodedSize + 4, &huge,
+              sizeof(huge));
+  ExpectCorruption(bytes, "inflated VARCHAR length");
 }
 
 TEST(ColumnCodecCorruption, RlePayloadOverrunFailsCleanly) {
@@ -322,7 +390,7 @@ TEST(ColumnCodecCorruption, RlePayloadOverrunFailsCleanly) {
   const ColumnVector col =
       MakeColumn(DataType::kDouble, Pattern::kConstant, Nulls::kNone, 100);
   std::string bytes;
-  EncodeColumnBlock(col, 100, &bytes);
+  NLQ_ASSERT_OK(EncodeColumnBlock(col, 100, &bytes).status());
   ColumnBlockHeader h;
   {
     size_t pos = 0;
@@ -348,7 +416,7 @@ TEST(ColumnCodecCorruption, DictIndexOutOfRangeFailsCleanly) {
   static const double kVals[5] = {1.5, -2.25, 3.75, 7.0, -0.5};
   for (size_t r = 0; r < 512; ++r) col.doubles[r] = kVals[r % 5];
   std::string bytes;
-  EncodeColumnBlock(col, 512, &bytes);
+  NLQ_ASSERT_OK(EncodeColumnBlock(col, 512, &bytes).status());
   ColumnBlockHeader h;
   size_t payload = 0;
   {
@@ -401,7 +469,9 @@ TEST(ColumnCodecPeek, SkipsBlocksWithoutDecoding) {
                           Pattern::kFewDistinct}) {
     const ColumnVector col = MakeColumn(DataType::kDouble, p,
                                         Nulls::kSparse, 300);
-    sizes.push_back(EncodeColumnBlock(col, 300, &stream));
+    NLQ_ASSERT_OK_AND_ASSIGN(const size_t bytes,
+                             EncodeColumnBlock(col, 300, &stream));
+    sizes.push_back(bytes);
   }
   size_t pos = 0;
   for (const size_t expected : sizes) {

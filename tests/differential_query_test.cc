@@ -44,7 +44,7 @@
 #include "stats/sqlgen.h"
 #include "stats/sufstats.h"
 #include "storage/buffer_pool.h"
-#include "storage/page.h"
+#include "storage/disk_manager.h"
 #include "storage/partitioned_table.h"
 #include "tests/test_util.h"
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "gen/datagen.h"
 #include "stats/describe.h"
 #include "stats/miner.h"
+#include "storage/disk_manager.h"
 #include "tests/test_util.h"
 
 namespace nlq::engine {
@@ -182,15 +184,15 @@ TEST(PersistenceTest, FailedSaveLeavesThePreviousSnapshotWhole) {
   const std::string a_saved = TableSignature(db.get(), "A");
   const std::string z_saved = TableSignature(db.get(), "Z");
 
-  // A grows; Z takes a row too large for a snapshot page through the
-  // trusted bulk path (as a CSV load could), so its save fails after
-  // A's partitions were written.
+  // A and Z grow; a directory sitting on Z's second staging path makes
+  // Z's save fail after A's partitions and Z's first were written.
   NLQ_ASSERT_OK(db->ExecuteCommand("INSERT INTO A VALUES (3, 2.5)"));
-  NLQ_ASSERT_OK_AND_ASSIGN(storage::PartitionedTable * z,
-                           db->catalog().GetTable("Z"));
-  z->AppendRowUnchecked({storage::Datum::Int64(2),
-                         storage::Datum::Varchar(std::string(1 << 17, 'x'))});
-  EXPECT_EQ(SaveDatabase(*db, dir).code(), StatusCode::kInvalidArgument);
+  NLQ_ASSERT_OK(db->ExecuteCommand("INSERT INTO Z VALUES (2, 'zz')"));
+  const std::string blocker = dir + "/z.1.pages.tmp";
+  std::filesystem::create_directories(blocker);
+  ASSERT_TRUE(std::filesystem::is_directory(blocker));
+  EXPECT_EQ(SaveDatabase(*db, dir).code(), StatusCode::kIOError);
+  std::filesystem::remove(blocker);
 
   auto db2 = nlq::testing::MakeTestDatabase(/*num_partitions=*/2);
   NLQ_ASSERT_OK(LoadDatabase(db2.get(), dir));
@@ -199,6 +201,112 @@ TEST(PersistenceTest, FailedSaveLeavesThePreviousSnapshotWhole) {
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   }
+}
+
+TEST(PersistenceTest, LargeStringsAndSpecialValuesSaveAndLoadBitIdentical) {
+  // Strings of 64 KB and more, empty and NULL strings, and NULL, NaN
+  // and ±0 doubles reload bit for bit.
+  const std::string dir = SnapshotDir("snapshot_special_values");
+  auto db = nlq::testing::MakeTestDatabase(/*num_partitions=*/2);
+  NLQ_ASSERT_OK(db->ExecuteCommand(
+      "CREATE TABLE S (i BIGINT, x DOUBLE, s VARCHAR)"));
+  NLQ_ASSERT_OK_AND_ASSIGN(storage::PartitionedTable * table,
+                           db->catalog().GetTable("S"));
+  const double kDoubles[] = {0.0, -0.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::infinity(), 1e300};
+  for (int64_t r = 0; r < 40; ++r) {
+    storage::Row row(3);
+    row[0] = r % 9 == 4 ? storage::Datum::Null(storage::DataType::kInt64)
+                        : storage::Datum::Int64(r - 20);
+    row[1] = r % 6 == 5 ? storage::Datum::Null(storage::DataType::kDouble)
+                        : storage::Datum::Double(kDoubles[r % 5]);
+    if (r % 7 == 0) {
+      row[2] = storage::Datum::Null(storage::DataType::kVarchar);
+    } else if (r % 7 == 1) {
+      row[2] = storage::Datum::Varchar("");
+    } else {
+      row[2] = storage::Datum::Varchar(std::string(
+          (size_t{64} << 10) + static_cast<size_t>(r) * 1000,
+          static_cast<char>('a' + r % 26)));
+    }
+    NLQ_ASSERT_OK(table->AppendRow(row));
+  }
+  NLQ_ASSERT_OK(SaveDatabase(*db, dir));
+
+  auto db2 = nlq::testing::MakeTestDatabase(/*num_partitions=*/2);
+  NLQ_ASSERT_OK(LoadDatabase(db2.get(), dir));
+  EXPECT_EQ(TableSignature(db2.get(), "S"), TableSignature(db.get(), "S"));
+  NLQ_ASSERT_OK_AND_ASSIGN(
+      double nulls,
+      db2->QueryDouble("SELECT count(*) FROM S WHERE s IS NULL"));
+  EXPECT_DOUBLE_EQ(nulls, 6.0);
+}
+
+TEST(PersistenceTest, TruncatedPartitionFileFailsToLoad) {
+  // A partition file cut on a chunk boundary decodes as a shorter table;
+  // the manifest's row count rejects it, naming the file. A cut inside
+  // a chunk fails the decode itself.
+  const std::string dir = SnapshotDir("snapshot_truncated");
+  auto db = nlq::testing::MakeTestDatabase(/*num_partitions=*/1);
+  gen::MixtureOptions options;
+  options.n = 20000;
+  options.d = 4;
+  options.seed = 99;
+  NLQ_ASSERT_OK(gen::GenerateDataSetTable(db.get(), "X", options).status());
+  NLQ_ASSERT_OK(SaveDatabase(*db, dir));
+
+  const std::string file = dir + "/x.0.pages";
+  const uintmax_t full_size = std::filesystem::file_size(file);
+  // The first chunk's page count is the fourth u32 of its header.
+  uint32_t first_chunk_pages = 0;
+  {
+    std::FILE* f = std::fopen(file.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 12, SEEK_SET), 0);
+    ASSERT_EQ(std::fread(&first_chunk_pages, 4, 1, f), 1u);
+    std::fclose(f);
+  }
+  const uintmax_t boundary =
+      uintmax_t{first_chunk_pages} * storage::kPageSize;
+  ASSERT_LT(boundary, full_size);
+
+  for (const uintmax_t cut : {boundary, boundary + 100}) {
+    std::filesystem::resize_file(file, cut);
+    auto db2 = nlq::testing::MakeTestDatabase(/*num_partitions=*/1);
+    const Status s = LoadDatabase(db2.get(), dir);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << cut << ": " << s.ToString();
+    EXPECT_NE(s.message().find(file), std::string::npos) << s.ToString();
+  }
+}
+
+TEST(PersistenceTest, OldStyleManifestIsNotSupported) {
+  // A manifest without a format version line (the row-page snapshots)
+  // or with an unknown version is refused, naming what it found.
+  const std::string dir = SnapshotDir("snapshot_old_style");
+  std::filesystem::create_directories(dir);
+  {
+    std::FILE* f = std::fopen((dir + "/manifest.txt").c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("t|1|v:DOUBLE\n", f);
+    std::fclose(f);
+  }
+  auto db = nlq::testing::MakeTestDatabase();
+  Status s = LoadDatabase(db.get(), dir);
+  EXPECT_EQ(s.code(), StatusCode::kNotSupported) << s.ToString();
+  EXPECT_NE(s.message().find("version none"), std::string::npos)
+      << s.ToString();
+  EXPECT_FALSE(db->catalog().HasTable("t"));
+
+  {
+    std::FILE* f = std::fopen((dir + "/manifest.txt").c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("nlq-snapshot-format 7\nt|1|v:DOUBLE|0\n", f);
+    std::fclose(f);
+  }
+  s = LoadDatabase(db.get(), dir);
+  EXPECT_EQ(s.code(), StatusCode::kNotSupported) << s.ToString();
+  EXPECT_NE(s.message().find("'7'"), std::string::npos) << s.ToString();
 }
 
 TEST(PersistenceTest, MissingDirectoryFails) {

@@ -18,7 +18,7 @@
 #include "gen/datagen.h"
 #include "stats/nlq_kernel.h"
 #include "storage/buffer_pool.h"
-#include "storage/page.h"
+#include "storage/disk_manager.h"
 #include "tests/test_util.h"
 
 namespace nlq::engine {
@@ -193,6 +193,45 @@ TEST(SpillEquivalenceTest, SpilledTableTakesAppendsAndSpillIsIdempotent) {
   NLQ_ASSERT_OK(db->ExecuteCommand("DROP TABLE X"));
   NLQ_ASSERT_OK(db->ExecuteCommand("CREATE TABLE X (i BIGINT, X1 DOUBLE)"));
   NLQ_ASSERT_OK(db->ExecuteCommand("INSERT INTO X VALUES (1, 2.0)"));
+}
+
+TEST(SpillEquivalenceTest, VarcharTableSpillsAndReadsBackOnTheRowPath) {
+  // VARCHAR columns spill in the plain string block: a table of empty,
+  // NULL and varied-length strings over several chunks per partition
+  // reads back through the pool exactly as its resident form, on the
+  // row path that serves VARCHAR expressions.
+  auto db = MakeDb(2, 2, storage::kPageSize * 16, 10, 1);
+  NLQ_ASSERT_OK(db->ExecuteCommand(
+      "CREATE TABLE V (i BIGINT, s VARCHAR, x DOUBLE)"));
+  NLQ_ASSERT_OK_AND_ASSIGN(storage::PartitionedTable * table,
+                           db->catalog().GetTable("V"));
+  for (int64_t r = 0; r < 20000; ++r) {
+    Datum s = r % 7 == 0   ? Datum::Null(DataType::kVarchar)
+              : r % 7 == 1 ? Datum::Varchar("")
+                           : Datum::Varchar(std::string(
+                                 static_cast<size_t>(r % 97),
+                                 static_cast<char>('a' + r % 26)));
+    NLQ_ASSERT_OK(table->AppendRow(
+        {Datum::Int64(r), std::move(s), Datum::Double(r * 0.25)}));
+  }
+  const char* kChecks[] = {
+      "SELECT i, s, x FROM V",
+      "SELECT i, s FROM V WHERE s IS NULL OR s = '' OR s > 'w'",
+      "SELECT count(*), sum(x) FROM V WHERE s IS NOT NULL",
+  };
+  std::vector<std::string> resident;
+  for (const char* sql : kChecks) {
+    resident.push_back(RunSignature(db.get(), sql, /*interpreted=*/true));
+  }
+
+  NLQ_ASSERT_OK(db->SpillTable("V"));
+  ASSERT_TRUE(table->is_spilled());
+  for (size_t i = 0; i < std::size(kChecks); ++i) {
+    EXPECT_EQ(RunSignature(db.get(), kChecks[i], /*interpreted=*/true),
+              resident[i])
+        << kChecks[i] << " (interpreted)";
+    EXPECT_EQ(RunSignature(db.get(), kChecks[i]), resident[i]) << kChecks[i];
+  }
 }
 
 TEST(SpillEquivalenceTest, BudgetFallbackNoteNamesTheConsumer) {
