@@ -15,8 +15,8 @@
 //            pool large enough to hold the whole compressed image
 //            (compressed-resident: decompress on every hit, no I/O
 //            after warmup), and spilled through a minimum-size pool
-//            (the larger-than-RAM case: eviction + readahead + chunk
-//            decode every scan).
+//            (the larger-than-RAM case: eviction, a disk read of every
+//            page a scan pins and a chunk decode every scan).
 //
 // Counters recorded into NLQ_BENCH_JSON next to the timings:
 //   scan_gb_per_s     — logical bytes (rows * d * 8) per second of
@@ -25,8 +25,9 @@
 //                       not on bytes that hit the disk;
 //   compression_ratio — raw/compressed over the table's spill
 //                       segments (spill variants only);
-//   pool_hit_rate     — (hits + readahead hits) / lookups across the
-//                       measured loop (spill variants only);
+//   pool_hit_rate     — hits / (hits + misses) over the pool's pins
+//                       across the measured loop (spill variants
+//                       only);
 //   pool_peak_bytes / pool_budget_bytes — the pool MemoryTracker's
 //                       high-water mark against its frame budget:
 //                       peak ≤ budget is the flat-RSS claim.
@@ -186,9 +187,7 @@ void BM_ScanStorage(benchmark::State& state, bool spilled,
   }
   if (db->buffer_pool() != nullptr) {
     const storage::BufferPoolStats after = db->buffer_pool()->GetStats();
-    const double hits = static_cast<double>(
-        (after.hits - before.hits) +
-        (after.readahead_hits - before.readahead_hits));
+    const double hits = static_cast<double>(after.hits - before.hits);
     const double lookups =
         hits + static_cast<double>(after.misses - before.misses);
     if (lookups > 0) state.counters["pool_hit_rate"] = hits / lookups;

@@ -333,10 +333,11 @@ Status SoakDriver::Setup() {
     tables_.back()->applied_batches = options_.seed_batches;
   }
 
-  // Static spilled table (never appended): builds/scoring on it run
-  // through the buffer pool (page_decompress chaos target); its oracle
-  // replay stays resident, which the spilled==resident guarantee
-  // covers.
+  // Static spilled table (never appended): scoring on it, and the
+  // build that seeds its maintained view, stream through the buffer
+  // pool (page_decompress chaos target); later builds are served from
+  // the view. Its oracle replay stays resident, which the
+  // spilled==resident guarantee covers.
   if (options_.spilled_table) {
     const size_t ts = BuildOracle::SpilledIndex(options_);
     NLQ_RETURN_IF_ERROR(db_->ExecuteCommand(

@@ -573,16 +573,15 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
       // compiled over span batches.
       //
       // Maintained-view decision (DESIGN.md §13): a global n,L,Q
-      // aggregate over a resident table with relocatable states is
-      // served from registered per-morsel partials. Grouped n,L,Q
+      // aggregate with relocatable states is served from registered
+      // per-morsel partials, whether its partitions are resident,
+      // spilled or spilled with a resident tail. Grouped n,L,Q
       // aggregates stay unmaintained: hash-table output ordering is not
       // replayable bit-identically.
       std::string view_note;
       ViewDescriptor view;
       if (views_ != nullptr && ViewShaped(agg, has_having, vp)) {
-        if (inputs.driver->is_spilled()) {
-          view_note = "view=ineligible (spilled)";
-        } else if (!RelocatableSpecs(agg.specs)) {
+        if (!RelocatableSpecs(agg.specs)) {
           view_note = "view=ineligible (non-relocatable aggregate state)";
         } else {
           view.table = inputs.driver;

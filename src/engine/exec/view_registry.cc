@@ -102,7 +102,6 @@ bool ViewRegistry::EntryCurrent(const Entry& e, const ViewDescriptor& d) {
   if (e.epochs.size() != parts) return false;
   for (size_t p = 0; p < parts; ++p) {
     const storage::Table& part = d.table->partition(p);
-    if (part.is_spilled()) return false;
     if (part.mutation_epoch() != e.epochs[p]) return false;
     if (part.num_rows() < e.watermarks[p]) return false;
   }

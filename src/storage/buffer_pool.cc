@@ -9,7 +9,6 @@ namespace nlq::storage {
 namespace {
 
 constexpr size_t kInvalidFrame = static_cast<size_t>(-1);
-constexpr size_t kMaxReadaheadQueue = 64;
 
 /// Mirrors a pool event into the process metrics registry. Looked up
 /// per call: ResetForTest invalidates cached references, and the cost
@@ -43,16 +42,9 @@ void PageHandle::Reset() {
 BufferPool::BufferPool(uint64_t budget_bytes) : budget_bytes_(budget_bytes) {
   const size_t budget_frames = static_cast<size_t>(budget_bytes / kPageSize);
   frames_.resize(std::max(kMinFrames, budget_frames));
-  ra_thread_ = std::thread([this] { ReadaheadLoop(); });
 }
 
 BufferPool::~BufferPool() {
-  {
-    std::lock_guard<std::mutex> lock(ra_mu_);
-    shutting_down_ = true;
-  }
-  ra_cv_.notify_all();
-  ra_thread_.join();
   tracker_.Release(static_cast<uint64_t>(allocated_frames_) * kPageSize);
 }
 
@@ -68,10 +60,7 @@ void BufferPool::UnregisterFile(uint32_t file_id) {
   files_.erase(file_id);
   for (auto it = page_map_.begin(); it != page_map_.end();) {
     if ((it->first >> 40) == file_id) {
-      Frame& f = frames_[it->second];
-      f.valid = false;
-      f.referenced = false;
-      f.from_readahead = false;
+      frames_[it->second].referenced = false;
       it = page_map_.erase(it);
     } else {
       ++it;
@@ -95,11 +84,6 @@ StatusOr<PageHandle> BufferPool::Pin(uint32_t file_id, uint64_t page_id) {
       f.pins++;
       f.referenced = true;
       stats_.hits++;
-      if (f.from_readahead) {
-        stats_.readahead_hits++;
-        f.from_readahead = false;
-        CountPool("pool.readahead_hits", 1);
-      }
       CountPool("pool.hits", 1);
       return PageHandle(this, it->second, f.data.get());
     }
@@ -133,28 +117,11 @@ StatusOr<PageHandle> BufferPool::Pin(uint32_t file_id, uint64_t page_id) {
       loaded_cv_.notify_all();
       return s;
     }
-    f.valid = true;
     f.pins = 1;
     f.referenced = true;
     loaded_cv_.notify_all();
     return PageHandle(this, frame, f.data.get());
   }
-}
-
-void BufferPool::ScheduleReadahead(uint32_t file_id, uint64_t first,
-                                   size_t count) {
-  if (count == 0) return;
-  {
-    std::lock_guard<std::mutex> lock(ra_mu_);
-    if (shutting_down_ || ra_queue_.size() >= kMaxReadaheadQueue) return;
-    ra_queue_.push_back({file_id, first, count});
-  }
-  ra_cv_.notify_one();
-}
-
-void BufferPool::DrainReadaheadForTest() {
-  std::unique_lock<std::mutex> lock(ra_mu_);
-  ra_idle_cv_.wait(lock, [this] { return ra_queue_.empty() && !ra_busy_; });
 }
 
 BufferPoolStats BufferPool::GetStats() const {
@@ -197,7 +164,6 @@ size_t BufferPool::ClaimFrameLocked(uint64_t key) {
     // structural bound — so the charge only records usage/peak.
     Status charge = tracker_.Charge(kPageSize, "buffer pool frame");
     (void)charge;
-    stats_.bytes_cached += kPageSize;
   } else {
     frame = EvictLocked();
     if (frame == kInvalidFrame) return kInvalidFrame;
@@ -213,109 +179,11 @@ size_t BufferPool::ClaimFrameLocked(uint64_t key) {
   }
   Frame& f = frames_[frame];
   f.key = key;
-  f.valid = false;
   f.loading = true;
   f.referenced = false;
-  f.from_readahead = false;
   f.pins = 0;
   page_map_[key] = frame;
   return frame;
-}
-
-void BufferPool::FinishLoad(size_t frame, bool ok) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Frame& f = frames_[frame];
-  f.loading = false;
-  if (ok) {
-    f.valid = true;
-    f.from_readahead = true;
-  } else {
-    auto it = page_map_.find(f.key);
-    if (it != page_map_.end() && it->second == frame) page_map_.erase(it);
-  }
-  loaded_cv_.notify_all();
-}
-
-Status BufferPool::LoadRun(uint32_t file_id, uint64_t first, size_t count) {
-  struct Claimed {
-    uint64_t page;
-    size_t frame;
-  };
-  std::vector<Claimed> claimed;
-  const DiskManager* disk = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto fit = files_.find(file_id);
-    if (fit == files_.end()) {
-      return Status::InvalidArgument("buffer pool: unknown file id " +
-                                     std::to_string(file_id));
-    }
-    disk = fit->second;
-    for (size_t i = 0; i < count; ++i) {
-      const uint64_t page = first + i;
-      if (page_map_.count(Key(file_id, page)) != 0) continue;  // resident
-      const size_t frame = ClaimFrameLocked(Key(file_id, page));
-      if (frame == kInvalidFrame) break;  // pool saturated; best effort
-      claimed.push_back({page, frame});
-    }
-  }
-  if (claimed.empty()) return Status::OK();
-
-  // Read each consecutive run with one vectored call, scattering
-  // straight into the claimed frames (safe outside mu_: frames_ never
-  // resizes and a loading frame's buffer belongs to its loader).
-  Status status = Status::OK();
-  uint64_t loaded = 0;
-  size_t i = 0;
-  while (i < claimed.size()) {
-    size_t j = i + 1;
-    while (j < claimed.size() && claimed[j].page == claimed[j - 1].page + 1) {
-      ++j;
-    }
-    std::vector<char*> bufs;
-    bufs.reserve(j - i);
-    for (size_t k = i; k < j; ++k) {
-      bufs.push_back(frames_[claimed[k].frame].data.get());
-    }
-    Status s = disk->ReadPages(claimed[i].page, bufs);
-    for (size_t k = i; k < j; ++k) FinishLoad(claimed[k].frame, s.ok());
-    if (s.ok()) {
-      loaded += j - i;
-    } else if (status.ok()) {
-      status = s;
-    }
-    i = j;
-  }
-  if (loaded > 0) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.readahead_pages += loaded;
-    }
-    CountPool("pool.readahead_pages", loaded);
-  }
-  return status;
-}
-
-void BufferPool::ReadaheadLoop() {
-  for (;;) {
-    ReadaheadRequest req;
-    {
-      std::unique_lock<std::mutex> lock(ra_mu_);
-      ra_cv_.wait(lock, [this] { return shutting_down_ || !ra_queue_.empty(); });
-      if (shutting_down_) return;
-      req = ra_queue_.front();
-      ra_queue_.pop_front();
-      ra_busy_ = true;
-    }
-    // Best effort: a failed readahead read just leaves the pages cold
-    // and the scan's own Pin reports the real error.
-    (void)LoadRun(req.file_id, req.first, req.count);
-    {
-      std::lock_guard<std::mutex> lock(ra_mu_);
-      ra_busy_ = false;
-      if (ra_queue_.empty()) ra_idle_cv_.notify_all();
-    }
-  }
 }
 
 }  // namespace nlq::storage

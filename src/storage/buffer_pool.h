@@ -3,10 +3,8 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -47,15 +45,12 @@ class PageHandle {
 };
 
 /// Point-in-time pool counters (also mirrored into the process metrics
-/// registry as pool.hits / pool.misses / pool.evictions /
-/// pool.readahead_pages / pool.readahead_hits).
+/// registry as pool.hits / pool.misses / pool.evictions). Frame memory
+/// is `BufferPool::tracker().used()`.
 struct BufferPoolStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t readahead_pages = 0;  // pages loaded by the readahead worker
-  uint64_t readahead_hits = 0;   // pins served by a readahead-loaded frame
-  uint64_t bytes_cached = 0;     // frames allocated * kPageSize
+  uint64_t hits = 0;       // pins served by a cached frame
+  uint64_t misses = 0;     // pins that read their page from disk
+  uint64_t evictions = 0;  // cached pages dropped to free a frame
 };
 
 /// Bounded cache of read-only page images fronting one or more
@@ -64,18 +59,18 @@ struct BufferPoolStats {
 /// Frames hold immutable 64 KB page images of registered files
 /// (spilled segments never change once written, so there is no dirty
 /// state and eviction is free). Lookup pins the frame (clock-swept,
-/// pin-counted); a miss reads its page through the DiskManager. A
-/// background readahead worker loads announced page runs into unpinned
-/// frames, one vectored ReadPages per consecutive run, so scans find
-/// them warm — the next chunk of a scan is the announcement unit.
+/// pin-counted); a miss reads its page through the DiskManager on the
+/// pinning thread. The pool loads nothing on its own: a page is read
+/// when, and only when, a scan pins it.
 ///
 /// Frame memory is charged to the pool's MemoryTracker on allocation,
 /// so `tracker().peak()` is the provable RSS bound of the storage
 /// layer: it never exceeds budget_bytes rounded up to whole frames.
 ///
-/// Thread-safe: workers pin/unpin concurrently with the readahead
-/// worker. When every frame is pinned simultaneously a pin fails with
-/// kResourceExhausted rather than growing past the budget.
+/// Thread-safe: scan workers pin/unpin concurrently, and a pin of a
+/// page another worker is reading waits for that read instead of
+/// issuing its own. When every frame is pinned simultaneously a pin
+/// fails with kResourceExhausted rather than growing past the budget.
 class BufferPool {
  public:
   /// `budget_bytes` bounds frame memory; at least kMinFrames frames
@@ -100,14 +95,6 @@ class BufferPool {
   /// disk on a miss. The handle unpins on destruction.
   StatusOr<PageHandle> Pin(uint32_t file_id, uint64_t page_id);
 
-  /// Queues pages [first, first+count) for the background readahead
-  /// worker. Drops the request when the queue is saturated; readahead
-  /// is best-effort by design.
-  void ScheduleReadahead(uint32_t file_id, uint64_t first, size_t count);
-
-  /// Blocks until the readahead queue is empty (tests).
-  void DrainReadaheadForTest();
-
   size_t num_frames() const { return frames_.size(); }
   uint64_t budget_bytes() const { return budget_bytes_; }
   const MemoryTracker& tracker() const { return tracker_; }
@@ -118,11 +105,9 @@ class BufferPool {
 
   struct Frame {
     std::unique_ptr<char[]> data;  // kPageSize, allocated on first use
-    uint64_t key = 0;              // (file_id << 40) | page_id when valid
-    bool valid = false;
+    uint64_t key = 0;              // (file_id << 40) | page_id
     bool loading = false;     // I/O in flight; waiters on loaded_cv_
     bool referenced = false;  // clock bit
-    bool from_readahead = false;
     uint32_t pins = 0;
   };
 
@@ -140,27 +125,13 @@ class BufferPool {
   /// SIZE_MAX when no frame is available.
   size_t ClaimFrameLocked(uint64_t key);
 
-  /// Publishes or abandons a frame claimed by readahead after I/O
-  /// (locks mu_). A failed load drops the mapping so a later Pin
-  /// retries the read.
-  void FinishLoad(size_t frame, bool ok);
-
-  void ReadaheadLoop();
-
-  /// Loads the missing pages of [first, first+count) into unpinned
-  /// frames for the readahead worker, one vectored ReadPages per
-  /// consecutive run. Pages that cannot get a frame (all pinned) are
-  /// skipped: readahead is an optimization, Pin is the correctness
-  /// path.
-  Status LoadRun(uint32_t file_id, uint64_t first, size_t count);
-
   const uint64_t budget_bytes_;
   MemoryTracker tracker_;
 
   mutable std::mutex mu_;
   std::condition_variable loaded_cv_;
-  // Sized to the budget at construction and never resized, so frame
-  // buffers can be filled outside mu_ while other threads claim.
+  // Sized to the budget at construction and never resized, so a frame
+  // buffer can be filled outside mu_ while other threads claim.
   std::vector<Frame> frames_;
   size_t allocated_frames_ = 0;  // frames whose data is allocated
   std::unordered_map<uint64_t, size_t> page_map_;  // key -> frame
@@ -170,20 +141,6 @@ class BufferPool {
 
   // Counters (mu_ held; reads copy under the lock).
   BufferPoolStats stats_;
-
-  // Readahead worker.
-  struct ReadaheadRequest {
-    uint32_t file_id;
-    uint64_t first;
-    size_t count;
-  };
-  std::mutex ra_mu_;
-  std::condition_variable ra_cv_;
-  std::condition_variable ra_idle_cv_;
-  std::deque<ReadaheadRequest> ra_queue_;
-  bool ra_busy_ = false;
-  bool shutting_down_ = false;
-  std::thread ra_thread_;
 };
 
 }  // namespace nlq::storage

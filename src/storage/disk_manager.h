@@ -52,8 +52,9 @@ class DiskManager {
 
   /// Vectored read of `bufs.size()` consecutive pages starting at
   /// `first_page`, scattering page i into bufs[i] (each a kPageSize
-  /// buffer). One preadv covers up to IOV_MAX pages per syscall, so
-  /// readahead issues one syscall per run instead of one per page.
+  /// buffer). One preadv covers up to IOV_MAX pages per syscall, so a
+  /// snapshot load reads a chunk blob's page run in one call; a pool
+  /// miss reads one page.
   Status ReadPages(uint64_t first_page,
                    const std::vector<char*>& bufs) const;
 

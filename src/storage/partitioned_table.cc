@@ -58,13 +58,6 @@ Status PartitionedTable::SpillToDisk(const std::string& path_prefix,
   return Status::OK();
 }
 
-bool PartitionedTable::is_spilled() const {
-  for (const auto& p : partitions_) {
-    if (!p->is_spilled()) return false;
-  }
-  return true;
-}
-
 void PartitionedTable::Clear() {
   for (auto& p : partitions_) p->Clear();
 }

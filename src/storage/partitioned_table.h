@@ -65,10 +65,6 @@ class PartitionedTable {
   /// scans stay correct either way.
   Status SpillToDisk(const std::string& path_prefix, BufferPool* pool);
 
-  /// True if every partition is spilled (false for an empty table with
-  /// no spill call yet).
-  bool is_spilled() const;
-
   /// Removes all rows from all partitions.
   void Clear();
 

@@ -243,10 +243,4 @@ Status SpillSegment::ReadChunk(size_t chunk_idx,
   return Status::OK();
 }
 
-void SpillSegment::ScheduleChunkReadahead(size_t chunk_idx) const {
-  if (chunk_idx >= chunks_.size()) return;
-  const SpillChunkInfo& ck = chunks_[chunk_idx];
-  pool_->ScheduleReadahead(file_id_, ck.first_page, ck.pages);
-}
-
 }  // namespace nlq::storage

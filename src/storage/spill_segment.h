@@ -20,7 +20,7 @@ class Table;
 /// Directory entry for one written chunk: `rows` consecutive table
 /// rows whose blob occupies whole pages [first_page, first_page +
 /// pages) of its file — page alignment is what lets the buffer pool
-/// cache and the readahead worker operate on chunks as plain page runs.
+/// cache a chunk as a plain run of pages, pinned one at a time.
 struct SpillChunkInfo {
   uint64_t first_row = 0;
   uint32_t rows = 0;
@@ -99,10 +99,6 @@ class SpillSegment {
   Status ReadChunk(size_t chunk_idx, const std::vector<size_t>& columns,
                    const std::vector<ColumnVector*>& dests,
                    std::string* scratch) const;
-
-  /// Queues chunk `chunk_idx`'s page run with the pool's background
-  /// readahead worker (no-op past the last chunk).
-  void ScheduleChunkReadahead(size_t chunk_idx) const;
 
  private:
   SpillSegment() = default;

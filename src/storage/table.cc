@@ -46,10 +46,6 @@ bool ChunkCursor::LoadNextChunk() {
     if (!status_.ok()) return false;
     const SpillChunkInfo& ck = seg.chunk(ci);
     pages_decoded_ += ck.pages;
-    // Warm the next chunk of this range while the caller drains this one.
-    if (ci + 1 < seg.num_chunks() && seg.chunk(ci + 1).first_row < end_row_) {
-      seg.ScheduleChunkReadahead(ci + 1);
-    }
     first_row = ck.first_row;
     chunk_end = ck.first_row + ck.rows;
   } else {

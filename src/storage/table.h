@@ -21,7 +21,7 @@ class Table;
 /// intersect rows [begin_row, end_row) in insertion order and resolves
 /// each one's projected columns — aliased in place for a resident
 /// chunk, decoded from the SpillSegment through the buffer pool for a
-/// spilled one (queuing readahead for the next chunk of the range).
+/// spilled one, when the cursor reaches it and on the cursor's thread.
 /// Columnar scans and the view refresh point spans at the columns,
 /// BatchScanner boxes them into Datums, SpillToDisk encodes them.
 ///

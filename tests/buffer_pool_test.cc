@@ -1,7 +1,7 @@
 // Buffer pool (storage/buffer_pool.h): pin/unpin lifetime, clock
-// eviction under a bounded frame budget, background readahead, counter accounting and the all-pinned
-// kResourceExhausted edge. The pool is the RSS ceiling of spilled
-// scans, so the MemoryTracker bound is asserted here too.
+// eviction under a bounded frame budget, counter accounting and the
+// all-pinned kResourceExhausted edge. The pool is the RSS ceiling of
+// spilled scans, so the MemoryTracker bound is asserted here too.
 
 #include <gtest/gtest.h>
 
@@ -97,9 +97,10 @@ TEST_F(BufferPoolTest, EvictsUnpinnedFramesWithinBudget) {
   const BufferPoolStats s = pool.GetStats();
   EXPECT_GT(s.evictions, 0u);
   EXPECT_GE(s.misses, pages);  // first pass all misses
-  // Memory charged never exceeded the frame budget.
+  // Memory charged never exceeded the frame budget, and every frame
+  // is allocated and charged.
   EXPECT_LE(pool.tracker().peak(), frames * kPageSize);
-  EXPECT_EQ(s.bytes_cached, frames * kPageSize);
+  EXPECT_EQ(pool.tracker().used(), frames * kPageSize);
 }
 
 TEST_F(BufferPoolTest, AllPinnedFailsResourceExhaustedNotDeadlock) {
@@ -121,41 +122,6 @@ TEST_F(BufferPoolTest, AllPinnedFailsResourceExhaustedNotDeadlock) {
   held.pop_back();
   NLQ_ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Pin(file, frames));
   EXPECT_EQ(PageStamp(h.data()), frames);
-}
-
-TEST_F(BufferPoolTest, ReadaheadWarmsFramesInBackground) {
-  FillPages(10);
-  BufferPool pool(kPageSize * 32);
-  const uint32_t file = pool.RegisterFile(&disk_);
-
-  pool.ScheduleReadahead(file, 0, 10);
-  pool.DrainReadaheadForTest();
-  BufferPoolStats s = pool.GetStats();
-  EXPECT_EQ(s.readahead_pages, 10u);
-  EXPECT_EQ(s.misses, 0u);
-
-  for (uint64_t p = 0; p < 10; ++p) {
-    NLQ_ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Pin(file, p));
-    EXPECT_EQ(PageStamp(h.data()), p);
-  }
-  s = pool.GetStats();
-  EXPECT_EQ(s.hits, 10u);
-  EXPECT_EQ(s.readahead_hits, 10u);  // first pin of each warm frame
-  EXPECT_EQ(s.misses, 0u);
-}
-
-TEST_F(BufferPoolTest, ReadaheadPastEofIsHarmless) {
-  FillPages(4);
-  BufferPool pool(kPageSize * 16);
-  const uint32_t file = pool.RegisterFile(&disk_);
-  // Best-effort: the out-of-range part must not wedge the worker or
-  // poison later pins.
-  pool.ScheduleReadahead(file, 2, 10);
-  pool.DrainReadaheadForTest();
-  NLQ_ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Pin(file, 3));
-  EXPECT_EQ(PageStamp(h.data()), 3u);
-  auto past = pool.Pin(file, 7);
-  EXPECT_FALSE(past.ok());
 }
 
 TEST_F(BufferPoolTest, PinPastEofFailsAndRetriesCleanly) {

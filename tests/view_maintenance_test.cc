@@ -12,7 +12,9 @@
 //      not the whole table;
 //   3. safe degradation — staleness (Clear/spill/DROP), memory
 //      pressure, and eviction all fall back to a full rescan with the
-//      registry state dropped, never a wrong or missing result.
+//      registry state dropped, never a wrong or missing result; a
+//      spilled or partly spilled table reseeds once and is then served
+//      like a resident one.
 
 #include <gtest/gtest.h>
 
@@ -232,8 +234,13 @@ TEST(ViewMaintenanceTest, RefreshAfterAppendDoesDeltaWorkOnly) {
 
 TEST(ViewMaintenanceTest, ExplainTracksFreshStaleIneligible) {
   auto db = MakeViewDb(/*partitions=*/2, /*threads=*/2, /*views=*/true);
+  // Views-off twin: the 505 rows this test appends to `db` in two
+  // steps, in the same partitions.
+  auto pdb = MakeViewDb(/*partitions=*/2, /*threads=*/2, /*views=*/false);
   CreateT(db.get());
+  CreateT(pdb.get());
   AppendRows(db.get(), 0, 500);
+  AppendRows(pdb.get(), 0, 505);
   const char* kSql = "SELECT nlq_list('triang', X1, X2) FROM T";
 
   // Unregistered: the plan seeds.
@@ -258,6 +265,9 @@ TEST(ViewMaintenanceTest, ExplainTracksFreshStaleIneligible) {
   NLQ_ASSERT_OK_AND_ASSIGN(storage::PartitionedTable * table,
                            db->catalog().GetTable("T"));
   table->partition(0).Clear();
+  NLQ_ASSERT_OK_AND_ASSIGN(storage::PartitionedTable * twin,
+                           pdb->catalog().GetTable("T"));
+  twin->partition(0).Clear();
   NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(kSql));
   EXPECT_NE(plan.find("VectorHashAggregate"), std::string::npos) << plan;
   EXPECT_NE(plan.find("view=stale"), std::string::npos) << plan;
@@ -266,12 +276,29 @@ TEST(ViewMaintenanceTest, ExplainTracksFreshStaleIneligible) {
   NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(kSql));
   EXPECT_NE(plan.find("view=stale (seeding"), std::string::npos) << plan;
 
-  // Spilled tables are ineligible (their scans stream through the
-  // buffer pool; there is no append path to maintain).
+  // A spilled table is served like a resident one: the spill drops
+  // the table's views, the next statement reseeds from the spilled
+  // chunks, and the one after it is a fresh hit — both with the
+  // views-off answer, bit for bit.
   NLQ_ASSERT_OK(db->SpillTable("T"));
-  NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(kSql));
-  EXPECT_NE(plan.find("view=ineligible (spilled)"), std::string::npos) << plan;
   EXPECT_EQ(db->view_registry()->num_views(), 0u);
+  const unsigned long long rows = table->num_rows();
+  NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(kSql));
+  EXPECT_NE(plan.find(StringPrintf("view=stale (seeding %llu row(s))", rows)),
+            std::string::npos)
+      << plan;
+  NLQ_ASSERT_OK_AND_ASSIGN(ResultSet plain, pdb->Execute(kSql));
+  NLQ_ASSERT_OK_AND_ASSIGN(ResultSet seeded, db->Execute(kSql));
+  EXPECT_EQ(ResultSignature(seeded), ResultSignature(plain));
+  EXPECT_EQ(db->last_query_stats()->view_rebuilds, 1u);
+  NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(kSql));
+  EXPECT_NE(plan.find(StringPrintf("view=fresh delta=0 of %llu row(s)", rows)),
+            std::string::npos)
+      << plan;
+  NLQ_ASSERT_OK_AND_ASSIGN(ResultSet served, db->Execute(kSql));
+  EXPECT_EQ(ResultSignature(served), ResultSignature(plain));
+  EXPECT_EQ(db->last_query_stats()->view_hits, 1u);
+  EXPECT_EQ(db->view_registry()->num_views(), 1u);
 
   // Grouped n,L,Q aggregates are recognized but not maintained.
   const std::string grouped = stats::NlqUdfQueryGrouped(
@@ -280,6 +307,62 @@ TEST(ViewMaintenanceTest, ExplainTracksFreshStaleIneligible) {
   NLQ_ASSERT_OK_AND_ASSIGN(plan, db->Explain(grouped));
   EXPECT_NE(plan.find("view=ineligible (group-by)"), std::string::npos)
       << plan;
+}
+
+TEST(ViewMaintenanceTest, PartlySpilledTableSeedsOnceThenServesFresh) {
+  // One resident partition beside three spilled ones (a partition
+  // cleared after the spill reverts to resident chunks), with later
+  // appends landing in the spilled partitions' resident tails as well:
+  // every view shape seeds once, then each statement is a fresh hit
+  // that reads only the appended rows, bit-identical to views off.
+  auto vdb = MakeViewDb(/*partitions=*/4, /*threads=*/2, /*views=*/true);
+  auto pdb = MakeViewDb(/*partitions=*/4, /*threads=*/2, /*views=*/false);
+  for (Database* db : {vdb.get(), pdb.get()}) {
+    CreateT(db);
+    AppendRows(db, 0, 1500);
+    NLQ_ASSERT_OK(db->SpillTable("T"));
+    NLQ_ASSERT_OK_AND_ASSIGN(storage::PartitionedTable * table,
+                             db->catalog().GetTable("T"));
+    table->partition(0).Clear();
+    AppendRows(db, 1500, 1700);
+  }
+  NLQ_ASSERT_OK_AND_ASSIGN(storage::PartitionedTable * table,
+                           vdb->catalog().GetTable("T"));
+  ASSERT_FALSE(table->partition(0).is_spilled());
+  ASSERT_GT(table->partition(0).num_rows(), 0u);
+  for (size_t p = 1; p < table->num_partitions(); ++p) {
+    ASSERT_TRUE(table->partition(p).is_spilled()) << "partition " << p;
+    ASSERT_GT(table->partition(p).num_rows(),
+              table->partition(p).spill()->num_rows())
+        << "partition " << p << " has no resident tail";
+  }
+
+  auto expect_plain = [&](const char* sql, const ResultSet& viewed) {
+    auto plain = pdb->Execute(sql);
+    NLQ_ASSERT_OK(plain.status());
+    EXPECT_EQ(ResultSignature(viewed), ResultSignature(*plain)) << sql;
+  };
+  for (const char* sql : kQueries) {
+    NLQ_ASSERT_OK_AND_ASSIGN(ResultSet seeded, vdb->Execute(sql));
+    expect_plain(sql, seeded);
+    EXPECT_EQ(vdb->last_query_stats()->view_rebuilds, 1u) << sql;
+
+    NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, vdb->Explain(sql));
+    EXPECT_NE(plan.find("view=fresh delta=0"), std::string::npos) << plan;
+    NLQ_ASSERT_OK_AND_ASSIGN(ResultSet served, vdb->Execute(sql));
+    expect_plain(sql, served);
+    EXPECT_EQ(vdb->last_query_stats()->view_hits, 1u) << sql;
+    EXPECT_EQ(vdb->last_query_stats()->view_rebuilds, 0u) << sql;
+  }
+
+  AppendRows(vdb.get(), 1700, 1740);
+  AppendRows(pdb.get(), 1700, 1740);
+  for (const char* sql : kQueries) {
+    NLQ_ASSERT_OK_AND_ASSIGN(ResultSet refreshed, vdb->Execute(sql));
+    expect_plain(sql, refreshed);
+    EXPECT_EQ(vdb->last_query_stats()->view_hits, 1u) << sql;
+    EXPECT_EQ(vdb->last_query_stats()->view_delta_rows, 40u) << sql;
+  }
 }
 
 TEST(ViewMaintenanceTest, DropTableInvalidatesEagerly) {

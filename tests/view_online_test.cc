@@ -214,14 +214,14 @@ TEST(ViewOnlineTest, ConcurrentAppendRefreshScoreStaysBitExact) {
   }
 }
 
-// A spill landing in the middle of the online scenario (ISSUE 10):
-// writers stream appends, a refresher serves the model from the
-// maintained view, and then the table is spilled out from under both.
-// From that point every refresh must either carry the explicit
-// `view=ineligible (spilled)` plan note or be a correct full rescan —
-// a stale pre-spill view answer is never acceptable. Run under TSan
-// this interleaves append + view refresh + spill; run anywhere the
-// bit-exactness assertions hold.
+// A spill landing in the middle of the online scenario: writers
+// stream appends, a refresher serves the model from the maintained
+// view, and then the table is spilled out from under both. The spill
+// drops the view, so the first refresh after it re-seeds from the
+// spilled chunks and every later one is served from the re-seeded
+// view; a stale pre-spill view answer is never acceptable. Run under
+// TSan this interleaves append + view refresh + spill; run anywhere
+// the bit-exactness assertions hold.
 TEST(ViewOnlineTest, SpillMidStreamDegradesViewToRescanNeverStale) {
   auto db = MakeDb(/*threads=*/4, /*views=*/true);
   CreateT(db.get());
@@ -255,8 +255,9 @@ TEST(ViewOnlineTest, SpillMidStreamDegradesViewToRescanNeverStale) {
   }
 
   // Refresher: keeps serving the model across the spill. Post-spill
-  // results are collected for the never-stale check; post-spill plans
-  // must carry the ineligibility note.
+  // results are collected for the never-stale check; the first
+  // post-spill statement must re-seed the view and every one after it
+  // must be a fresh hit.
   std::atomic<uint64_t> pre_spill_refreshes{0};
   std::vector<std::string> post_spill_models;
   std::thread refresher([&] {
@@ -270,10 +271,14 @@ TEST(ViewOnlineTest, SpillMidStreamDegradesViewToRescanNeverStale) {
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         model = result->At(0, 0).string_value();
         if (was_spilled) {
+          ASSERT_TRUE(db->last_query_stats().has_value());
+          const QueryStatsSnapshot& stats = *db->last_query_stats();
+          const bool first = post_spill_models.empty();
+          EXPECT_EQ(stats.view_rebuilds, first ? 1u : 0u);
+          EXPECT_EQ(stats.view_hits, first ? 0u : 1u);
           auto plan = db->Explain(kModelSql);
           ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-          EXPECT_NE(plan->find("view=ineligible (spilled)"),
-                    std::string::npos)
+          EXPECT_NE(plan->find("view=fresh delta=0"), std::string::npos)
               << *plan;
         }
       }
@@ -307,8 +312,8 @@ TEST(ViewOnlineTest, SpillMidStreamDegradesViewToRescanNeverStale) {
 
   // Never stale: the post-spill model is bit-exact against a resident
   // views-free replay of exactly the rows that landed before the
-  // spill (spilled == resident, PR-7's guarantee, carried through the
-  // view layer's degrade path).
+  // spill (spilled == resident, carried through the view layer's
+  // re-seed).
   auto oracle_db = MakeDb(/*threads=*/1, /*views=*/false);
   CreateT(oracle_db.get());
   NLQ_ASSERT_OK_AND_ASSIGN(storage::PartitionedTable * oracle_table,
