@@ -2,10 +2,16 @@
 // storage stack cost, and what does the SIMD span kernel buy back?
 // Three axes, each isolated:
 //
-//   kernel_spans — NlqAccumulateSpans alone on resident d=32 spans,
-//            scalar (blocked/tiled) vs simd (AVX2), bit-identical by
-//            construction; the simd/scalar real_time ratio is the
-//            headline kernel speedup;
+//   kernel_spans — NlqAccumulateSpans alone on resident spans, scalar
+//            (blocked/tiled) vs simd (register-tiled AVX2),
+//            bit-identical by construction: d=32 full (the simd/scalar
+//            real_time ratio is the headline kernel speedup) and d=33
+//            lower-triangular (the X1..X32, Y builds of the repository
+//            benchmark), each reporting achieved GFLOP/s;
+//   peak_mul_add — the same thread's ceiling for that arithmetic: a
+//            plain loop of independent multiply chains and add chains
+//            in registers, in equal numbers as the kernel runs them
+//            (1 lane per op, and 4 lanes with AVX2), in GFLOP/s;
 //   gamma_query — the full nlq_list('full', X1..X32) query on a
 //            resident table under each kernel mode: how much
 //            of the kernel win survives planning, morsel dispatch and
@@ -19,6 +25,10 @@
 //            page a scan pins and a chunk decode every scan).
 //
 // Counters recorded into NLQ_BENCH_JSON next to the timings:
+//   gflop_per_s       — kernel_spans and peak_mul_add: floating-point
+//                       operations per second of real time, counting
+//                       a Q entry's multiply and add and an L add
+//                       (min/max compares are not counted);
 //   scan_gb_per_s     — logical bytes (rows * d * 8) per second of
 //                       real time: the effective scan bandwidth, so
 //                       storage variants compare on delivered data,
@@ -33,6 +43,10 @@
 //                       peak ≤ budget is the flat-RSS claim.
 
 #include <benchmark/benchmark.h>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include <chrono>
 #include <cstdint>
@@ -76,15 +90,15 @@ std::string FullGammaSql(size_t d) {
 // kernel_spans: the fused n,L,Q kernel alone, scalar vs AVX2.
 // ---------------------------------------------------------------------------
 
-void BM_KernelSpans(benchmark::State& state, stats::NlqKernelMode mode) {
-  constexpr size_t kD = 32;
+void BM_KernelSpans(benchmark::State& state, stats::NlqKernelMode mode,
+                    size_t d, stats::MatrixKind kind) {
   constexpr size_t kRows = 16384;
-  std::vector<std::vector<double>> cols(kD, std::vector<double>(kRows));
-  for (size_t a = 0; a < kD; ++a) {
+  std::vector<std::vector<double>> cols(d, std::vector<double>(kRows));
+  for (size_t a = 0; a < d; ++a) {
     for (size_t r = 0; r < kRows; ++r) cols[a][r] = MixDouble(a * kRows + r);
   }
-  std::vector<const double*> spans(kD);
-  for (size_t a = 0; a < kD; ++a) spans[a] = cols[a].data();
+  std::vector<const double*> spans(d);
+  for (size_t a = 0; a < d; ++a) spans[a] = cols[a].data();
 
   stats::SetNlqKernelMode(mode);
   state.SetLabel(stats::NlqKernelVariant());
@@ -92,18 +106,103 @@ void BM_KernelSpans(benchmark::State& state, stats::NlqKernelMode mode) {
   for (auto _ : state) {
     stats::NlqState s;
     stats::ResetNlqState(&s);
-    bench::Require(stats::SetNlqShape(&s, kD, stats::MatrixKind::kFull),
-                   state);
+    bench::Require(stats::SetNlqShape(&s, d, kind), state);
     stats::NlqAccumulateSpans(&s, spans.data(), kRows);
     benchmark::DoNotOptimize(s);
   }
   const double secs = Seconds(t0);
   stats::SetNlqKernelMode(stats::NlqKernelMode::kAuto);
   if (secs > 0) {
-    const double bytes =
-        static_cast<double>(kRows) * kD * 8 * state.iterations();
-    state.counters["scan_gb_per_s"] = bytes / secs / 1e9;
+    const double rows = static_cast<double>(kRows) * state.iterations();
+    state.counters["scan_gb_per_s"] = rows * d * 8 / secs / 1e9;
+    const double q_entries = kind == stats::MatrixKind::kFull
+                                 ? static_cast<double>(d * d)
+                                 : static_cast<double>(d * (d + 1) / 2);
+    state.counters["gflop_per_s"] = rows * (2 * q_entries + d) / secs / 1e9;
   }
+}
+
+// ---------------------------------------------------------------------------
+// peak_mul_add: the arithmetic ceiling the kernel is measured against.
+// ---------------------------------------------------------------------------
+
+#if defined(__x86_64__)
+
+/// Independent multiply chains and add chains per loop (equal counts:
+/// the kernel runs one multiply per add). Six of each cover the
+/// multiply latency and keep every FP port that can run them busy.
+constexpr int kPeakChains = 6;
+constexpr int64_t kPeakSteps = 1 << 20;
+
+/// One lane per op (scalar SSE2 multiply and add), as the scalar kernel
+/// runs them. Returns the flops done.
+double PeakMulAddScalar() {
+  __m128d mul[kPeakChains], add[kPeakChains];
+  for (int c = 0; c < kPeakChains; ++c) {
+    mul[c] = add[c] = _mm_set_sd(1.0 + c);
+  }
+  const __m128d shrink = _mm_set_sd(0.9999999999);
+  const __m128d step = _mm_set_sd(1e-12);
+  for (int64_t i = 0; i < kPeakSteps; ++i) {
+#pragma GCC unroll 6
+    for (int c = 0; c < kPeakChains; ++c) {
+      mul[c] = _mm_mul_sd(mul[c], shrink);
+      add[c] = _mm_add_sd(add[c], step);
+    }
+  }
+  double sum = 0;
+  for (int c = 0; c < kPeakChains; ++c) {
+    sum += _mm_cvtsd_f64(mul[c]) + _mm_cvtsd_f64(add[c]);
+  }
+  benchmark::DoNotOptimize(sum);
+  return 2.0 * kPeakChains * kPeakSteps;
+}
+
+/// Four lanes per op (AVX2 multiply and add — no FMA), as the SIMD
+/// kernel runs them. Returns the flops done.
+__attribute__((target("avx2"))) double PeakMulAddAvx2() {
+  __m256d mul[kPeakChains], add[kPeakChains];
+  for (int c = 0; c < kPeakChains; ++c) {
+    mul[c] = add[c] = _mm256_set1_pd(1.0 + c);
+  }
+  const __m256d shrink = _mm256_set1_pd(0.9999999999);
+  const __m256d step = _mm256_set1_pd(1e-12);
+  for (int64_t i = 0; i < kPeakSteps; ++i) {
+#pragma GCC unroll 6
+    for (int c = 0; c < kPeakChains; ++c) {
+      mul[c] = _mm256_mul_pd(mul[c], shrink);
+      add[c] = _mm256_add_pd(add[c], step);
+    }
+  }
+  alignas(32) double lanes[4];
+  double sum = 0;
+  for (int c = 0; c < kPeakChains; ++c) {
+    _mm256_store_pd(lanes, _mm256_add_pd(mul[c], add[c]));
+    sum += lanes[0] + lanes[1] + lanes[2] + lanes[3];
+  }
+  benchmark::DoNotOptimize(sum);
+  return 8.0 * kPeakChains * kPeakSteps;
+}
+
+#endif  // __x86_64__
+
+void BM_PeakMulAdd(benchmark::State& state, bool avx2) {
+#if defined(__x86_64__)
+  if (avx2 && !__builtin_cpu_supports("avx2")) {
+    state.SkipWithError("CPU lacks AVX2");
+    return;
+  }
+  double flops = 0;
+  const Clock::time_point t0 = Clock::now();
+  for (auto _ : state) {
+    flops += avx2 ? PeakMulAddAvx2() : PeakMulAddScalar();
+  }
+  const double secs = Seconds(t0);
+  if (secs > 0) state.counters["gflop_per_s"] = flops / secs / 1e9;
+#else
+  (void)avx2;
+  state.SkipWithError("the peak loop is written for x86-64");
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -204,15 +303,36 @@ void BM_ScanStorage(benchmark::State& state, bool spilled,
 
 int main(int argc, char** argv) {
   using stats::NlqKernelMode;
+  using stats::MatrixKind;
   bench::RegisterReal("Storage/kernel_spans/d=32/scalar",
                       [](benchmark::State& s) {
-                        BM_KernelSpans(s, NlqKernelMode::kScalar);
+                        BM_KernelSpans(s, NlqKernelMode::kScalar, 32,
+                                       MatrixKind::kFull);
                       })
       ->Unit(benchmark::kMicrosecond);
   bench::RegisterReal("Storage/kernel_spans/d=32/simd",
                       [](benchmark::State& s) {
-                        BM_KernelSpans(s, NlqKernelMode::kSimd);
+                        BM_KernelSpans(s, NlqKernelMode::kSimd, 32,
+                                       MatrixKind::kFull);
                       })
+      ->Unit(benchmark::kMicrosecond);
+  bench::RegisterReal("Storage/kernel_spans/d=33/triang/scalar",
+                      [](benchmark::State& s) {
+                        BM_KernelSpans(s, NlqKernelMode::kScalar, 33,
+                                       MatrixKind::kLowerTriangular);
+                      })
+      ->Unit(benchmark::kMicrosecond);
+  bench::RegisterReal("Storage/kernel_spans/d=33/triang/simd",
+                      [](benchmark::State& s) {
+                        BM_KernelSpans(s, NlqKernelMode::kSimd, 33,
+                                       MatrixKind::kLowerTriangular);
+                      })
+      ->Unit(benchmark::kMicrosecond);
+  bench::RegisterReal("Storage/peak_mul_add/scalar",
+                      [](benchmark::State& s) { BM_PeakMulAdd(s, false); })
+      ->Unit(benchmark::kMicrosecond);
+  bench::RegisterReal("Storage/peak_mul_add/avx2",
+                      [](benchmark::State& s) { BM_PeakMulAdd(s, true); })
       ->Unit(benchmark::kMicrosecond);
   bench::RegisterReal("Storage/gamma_query/d=32/scalar",
                       [](benchmark::State& s) {

@@ -1,5 +1,6 @@
 #include "engine/exec/aggregate_state.h"
 
+#include <cstdint>
 #include <cstring>
 #include <utility>
 
@@ -86,6 +87,39 @@ Status LoadUdfLanes(const VectorAggSpec& args, const ColumnSpanBatch& batch,
   return Status::OK();
 }
 
+/// Marks in s->keep the rows without a NULL in any of s->lanes (the
+/// skip-row policy); false, leaving `keep` alone, when no lane has
+/// NULLs.
+bool MarkKeptRows(size_t rows, SpanScratch* s) {
+  bool any_nulls = false;
+  for (const ArgLane& x : s->lanes) any_nulls |= x.nulls != nullptr;
+  if (!any_nulls) return false;
+  s->keep.assign(rows, 1);
+  for (const ArgLane& x : s->lanes) {
+    if (x.nulls == nullptr) continue;
+    for (size_t r = 0; r < rows; ++r) {
+      if (NullBitGet(x.nulls, r)) s->keep[r] = 0;
+    }
+  }
+  return true;
+}
+
+/// out[k] = lane value of row rows[k], widened to double.
+void GatherLane(const ArgLane& x, const uint32_t* rows, size_t n,
+                double* out) {
+  if (x.d != nullptr) {
+    for (size_t k = 0; k < n; ++k) out[k] = x.d[rows[k]];
+  } else {
+    for (size_t k = 0; k < n; ++k) out[k] = static_cast<double>(x.i[rows[k]]);
+  }
+}
+
+/// True when `spec` is an aggregate UDF that takes span batches.
+bool TakesSpans(const AggregateSpec& spec, const VectorAggSpec& args) {
+  return spec.kind == AggregateSpec::Kind::kUdf &&
+         spec.udaf->SupportsColumnarSpans() && !args.progs.empty();
+}
+
 /// One UDF call over the batch through AccumulateSpans: widens BIGINT
 /// lanes to double and drops rows with a NULL in any argument by
 /// order-preserving compaction; without NULLs, DOUBLE lanes pass
@@ -97,17 +131,9 @@ Status AccumulateUdfSpans(const AggregateSpec& spec, const VectorAggSpec& args,
   NLQ_RETURN_IF_ERROR(LoadUdfLanes(args, batch, slot_to_col, s));
   const size_t ncols = args.progs.size();
   const size_t rows = batch.rows;
-  bool any_nulls = false;
-  for (const ArgLane& x : s->lanes) any_nulls |= x.nulls != nullptr;
+  const bool any_nulls = MarkKeptRows(rows, s);
   size_t out_rows = rows;
   if (any_nulls) {
-    s->keep.assign(rows, 1);
-    for (const ArgLane& x : s->lanes) {
-      if (x.nulls == nullptr) continue;
-      for (size_t r = 0; r < rows; ++r) {
-        if (NullBitGet(x.nulls, r)) s->keep[r] = 0;
-      }
-    }
     out_rows = 0;
     for (size_t r = 0; r < rows; ++r) out_rows += s->keep[r];
   }
@@ -131,6 +157,87 @@ Status AccumulateUdfSpans(const AggregateSpec& spec, const VectorAggSpec& args,
   }
   return spec.udaf->AccumulateSpans(state, args.const_args, s->spans.data(),
                                     ncols, out_rows);
+}
+
+constexpr uint32_t kNoSlot = UINT32_MAX;
+
+/// Orders a grouped batch's rows by group for per-group span calls: the
+/// batch's groups take slots in order of first appearance, and a
+/// stable counting sort over the slots fills s->order and s->offsets.
+void SortRowsByGroup(const uint32_t* group_of, size_t num_groups,
+                     size_t rows, SpanScratch* s) {
+  std::vector<uint32_t>& slot_of = s->slot_of;
+  if (slot_of.size() < num_groups) slot_of.resize(num_groups, kNoSlot);
+  s->slot_groups.clear();
+  for (size_t r = 0; r < rows; ++r) {
+    if (slot_of[group_of[r]] == kNoSlot) {
+      slot_of[group_of[r]] = static_cast<uint32_t>(s->slot_groups.size());
+      s->slot_groups.push_back(group_of[r]);
+    }
+  }
+  const size_t slots = s->slot_groups.size();
+  std::vector<uint32_t>& offsets = s->offsets;
+  offsets.assign(slots + 1, 0);
+  for (size_t r = 0; r < rows; ++r) ++offsets[slot_of[group_of[r]] + 1];
+  for (size_t g = 0; g < slots; ++g) offsets[g + 1] += offsets[g];
+  // offsets[g] is slot g's fill cursor; once every row is placed it
+  // holds slot g's end, and shifting by one restores the starts.
+  s->order.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    s->order[offsets[slot_of[group_of[r]]]++] = static_cast<uint32_t>(r);
+  }
+  for (size_t g = slots; g > 0; --g) offsets[g] = offsets[g - 1];
+  offsets[0] = 0;
+  for (const uint32_t g : s->slot_groups) slot_of[g] = kNoSlot;
+}
+
+/// Spec `i`'s span UDF over a grouped batch ordered by SortRowsByGroup:
+/// one AccumulateSpans call per group, its lanes gathered in row order
+/// with NULL rows compacted out. A group whose rows all compact away
+/// still gets its call, with zero rows.
+Status AccumulateUdfGroupSpans(const AggregateSpec& spec, size_t i,
+                               const VectorAggSpec& args,
+                               const ColumnSpanBatch& batch,
+                               const std::vector<int>& slot_to_col,
+                               const std::vector<AggState*>& groups,
+                               SpanScratch* s) {
+  const size_t slots = s->slot_groups.size();
+  if (slots == 1) {
+    return AccumulateUdfSpans(spec, args, batch, slot_to_col,
+                              groups[s->slot_groups[0]]->udf_states[i], s);
+  }
+  NLQ_RETURN_IF_ERROR(LoadUdfLanes(args, batch, slot_to_col, s));
+  const uint32_t* rows = s->order.data();
+  const uint32_t* offsets = s->offsets.data();
+  if (MarkKeptRows(batch.rows, s)) {
+    s->kept.clear();
+    s->kept_offsets.assign(1, 0);
+    for (size_t g = 0; g < slots; ++g) {
+      for (uint32_t k = offsets[g]; k < offsets[g + 1]; ++k) {
+        if (s->keep[rows[k]]) s->kept.push_back(rows[k]);
+      }
+      s->kept_offsets.push_back(static_cast<uint32_t>(s->kept.size()));
+    }
+    rows = s->kept.data();
+    offsets = s->kept_offsets.data();
+  }
+  const size_t ncols = args.progs.size();
+  if (s->cols.size() < ncols) s->cols.resize(ncols);
+  s->spans.resize(ncols);
+  for (size_t a = 0; a < ncols; ++a) {
+    s->cols[a].resize(offsets[slots]);
+    GatherLane(s->lanes[a], rows, offsets[slots], s->cols[a].data());
+  }
+  for (size_t g = 0; g < slots; ++g) {
+    for (size_t a = 0; a < ncols; ++a) {
+      s->spans[a] = s->cols[a].data() + offsets[g];
+    }
+    NLQ_FAILPOINT("udf_accumulate");
+    NLQ_RETURN_IF_ERROR(spec.udaf->AccumulateSpans(
+        groups[s->slot_groups[g]]->udf_states[i], args.const_args,
+        s->spans.data(), ncols, offsets[g + 1] - offsets[g]));
+  }
+  return Status::OK();
 }
 
 /// One UDF call per row: boxed arguments into Accumulate, row r's
@@ -157,13 +264,16 @@ Status AccumulateUdfRows(const AggregateSpec& spec, size_t i,
 }
 
 /// ROW phase of every spec over one batch, row r folding into
-/// `state_of(r)`. `global` (one state for the whole batch) lets
-/// span-capable UDFs take the batch in one AccumulateSpans call.
+/// `state_of(r)`. `groups` is null for a global batch (one state, so
+/// span-capable UDFs take the batch in one AccumulateSpans call); for
+/// a grouped batch it lists the stream's groups, and span-capable UDFs
+/// take one call per group of the batch (SortRowsByGroup ran first).
 template <typename StateOf>
 Status AccumulateBatch(const std::vector<AggregateSpec>& specs,
                        const std::vector<VectorAggSpec>& args,
                        const std::vector<int>& slot_to_col,
-                       const ColumnSpanBatch& batch, bool global,
+                       const ColumnSpanBatch& batch,
+                       const std::vector<AggState*>* groups,
                        StateOf state_of, SpanScratch* s) {
   const size_t n = batch.rows;
   for (size_t i = 0; i < specs.size(); ++i) {
@@ -172,15 +282,18 @@ Status AccumulateBatch(const std::vector<AggregateSpec>& specs,
       for (size_t r = 0; r < n; ++r) ++state_of(r)->builtin[i].count;
       continue;
     }
+    if (TakesSpans(spec, args[i])) {
+      NLQ_RETURN_IF_ERROR(
+          groups == nullptr
+              ? AccumulateUdfSpans(spec, args[i], batch, slot_to_col,
+                                   state_of(0)->udf_states[i], s)
+              : AccumulateUdfGroupSpans(spec, i, args[i], batch, slot_to_col,
+                                        *groups, s));
+      continue;
+    }
     if (spec.kind == AggregateSpec::Kind::kUdf) {
-      if (global && spec.udaf->SupportsColumnarSpans() &&
-          !args[i].progs.empty()) {
-        NLQ_RETURN_IF_ERROR(AccumulateUdfSpans(
-            spec, args[i], batch, slot_to_col, state_of(0)->udf_states[i], s));
-      } else {
-        NLQ_RETURN_IF_ERROR(AccumulateUdfRows(spec, i, args[i], batch,
-                                              slot_to_col, s, state_of));
-      }
+      NLQ_RETURN_IF_ERROR(AccumulateUdfRows(spec, i, args[i], batch,
+                                            slot_to_col, s, state_of));
       continue;
     }
     NLQ_ASSIGN_OR_RETURN(
@@ -381,7 +494,7 @@ Status AccumulateSpanBatch(const std::vector<AggregateSpec>& specs,
                            const std::vector<int>& slot_to_col,
                            const ColumnSpanBatch& batch, AggState* state,
                            SpanScratch* scratch) {
-  return AccumulateBatch(specs, args, slot_to_col, batch, /*global=*/true,
+  return AccumulateBatch(specs, args, slot_to_col, batch, /*groups=*/nullptr,
                          [state](size_t) { return state; }, scratch);
 }
 
@@ -389,11 +502,18 @@ Status AccumulateGroupedSpanBatch(const std::vector<AggregateSpec>& specs,
                                   const std::vector<VectorAggSpec>& args,
                                   const std::vector<int>& slot_to_col,
                                   const ColumnSpanBatch& batch,
-                                  AggState* const* group_of,
+                                  const std::vector<AggState*>& groups,
+                                  const uint32_t* group_of,
                                   SpanScratch* scratch) {
-  return AccumulateBatch(specs, args, slot_to_col, batch, /*global=*/false,
-                         [group_of](size_t r) { return group_of[r]; },
-                         scratch);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    if (!TakesSpans(specs[i], args[i])) continue;
+    SortRowsByGroup(group_of, groups.size(), batch.rows, scratch);
+    break;
+  }
+  AggState* const* states = groups.data();
+  return AccumulateBatch(
+      specs, args, slot_to_col, batch, &groups,
+      [states, group_of](size_t r) { return states[group_of[r]]; }, scratch);
 }
 
 }  // namespace nlq::engine::exec

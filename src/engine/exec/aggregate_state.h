@@ -1,6 +1,7 @@
 #ifndef NLQ_ENGINE_EXEC_AGGREGATE_STATE_H_
 #define NLQ_ENGINE_EXEC_AGGREGATE_STATE_H_
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -67,6 +68,9 @@ struct AggState {
   std::vector<BuiltinAggState> builtin;
   std::vector<std::unique_ptr<udf::HeapSegment>> heaps;
   std::vector<void*> udf_states;  // null for builtins
+  /// Dense index of the group among its columnar stream's groups, in
+  /// order of first sight (set by VectorHashAggregate's ROW phase).
+  uint32_t stream_index = 0;
 };
 
 /// INIT: sizes `state` for `specs`; every aggregate UDF allocates its
@@ -179,6 +183,16 @@ struct SpanScratch {
   std::vector<const double*> spans;
   std::vector<uint8_t> keep;
   std::vector<storage::Datum> row_args;   // one row's boxed arguments
+
+  // A grouped batch's rows ordered by group. The batch's groups take
+  // slots in order of first appearance; rows [offsets[g], offsets[g+1])
+  // of `order` are slot g's, in row order.
+  std::vector<uint32_t> slot_of;      // per stream group: slot, or none
+  std::vector<uint32_t> slot_groups;  // per slot: stream group index
+  std::vector<uint32_t> offsets;      // per slot, plus the end
+  std::vector<uint32_t> order;        // row indices, grouped by slot
+  std::vector<uint32_t> kept;         // `order` minus NULL-argument rows
+  std::vector<uint32_t> kept_offsets; // `offsets` into `kept`
 };
 
 /// ROW phase of a global aggregate over one span batch, every spec
@@ -196,14 +210,25 @@ Status AccumulateSpanBatch(const std::vector<AggregateSpec>& specs,
                            SpanScratch* scratch);
 
 /// ROW phase of a grouped aggregate over one span batch: row r folds
-/// into `group_of[r]`, visiting each (group, aggregate) in row order —
-/// the loop nesting (per spec, then per row) differs from the row
-/// path's, which is unobservable because argument programs are pure.
+/// into groups[group_of[r]], `group_of` holding each row's dense
+/// per-stream group index. Builtins, and UDFs without span support
+/// (one boxed Accumulate per row), visit the rows in row order. An
+/// aggregate UDF that supports spans gets one AccumulateSpans call per
+/// group of the batch: a stable counting sort orders the rows by
+/// group, each call's lanes are gathered in row order with NULL rows
+/// compacted out, a group whose rows all compact away still gets its
+/// call (so its shape is fixed exactly as Accumulate would fix it),
+/// and a batch of one group takes AccumulateSpanBatch's zero-copy
+/// spans. The loop nesting (per spec, then per group or row) differs
+/// from the row path's (per row, then per spec), which is
+/// unobservable: argument programs are pure, and every group's state
+/// still sees exactly its own rows in row order.
 Status AccumulateGroupedSpanBatch(const std::vector<AggregateSpec>& specs,
                                   const std::vector<VectorAggSpec>& args,
                                   const std::vector<int>& slot_to_col,
                                   const ColumnSpanBatch& batch,
-                                  AggState* const* group_of,
+                                  const std::vector<AggState*>& groups,
+                                  const uint32_t* group_of,
                                   SpanScratch* scratch);
 
 }  // namespace nlq::engine::exec

@@ -345,8 +345,13 @@ VectorPipeline TryVectorAggregate(const FromInputs& inputs,
     VectorAggSpec vs;
     size_t a = 0;
     if (spec.kind == AggregateSpec::Kind::kUdf) {
+      // A span-taking UDF's span arguments are numeric: its constant
+      // prefix stops at the first non-VARCHAR literal, which compiles
+      // to a constant lane like any other argument.
+      const bool spans = spec.udaf->SupportsColumnarSpans();
       storage::Datum lit;
-      while (a < spec.args.size() && spec.args[a]->AsLiteralValue(&lit)) {
+      while (a < spec.args.size() && spec.args[a]->AsLiteralValue(&lit) &&
+             (!spans || lit.type() == storage::DataType::kVarchar)) {
         vs.const_args.push_back(std::move(lit));
         ++a;
       }

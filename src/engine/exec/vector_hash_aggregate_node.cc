@@ -34,9 +34,11 @@ class VectorAggregateStream : public ExecStream {
 };
 
 /// ROW phase over one columnar stream. Grouped: keys run through the
-/// VM per batch and groups resolve per row in batch order. Global:
-/// the stream's one state is created on its first batch (like the row
-/// path's group) and takes every batch whole.
+/// VM per batch, groups resolve per row in batch order, and each row
+/// gets its group's dense per-stream index (the order of first sight)
+/// for the span ROW phase. Global: the stream's one state is created
+/// on its first batch (like the row path's group) and takes every
+/// batch whole.
 Status AccumulateColumnStream(const PlanNode& child, size_t stream,
                               const BoundAggregation& agg,
                               const std::vector<CompiledExprPtr>& key_progs,
@@ -54,7 +56,8 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
   SpanScratch scratch(query_ctx);
   std::vector<std::vector<Datum>> key_cols(num_keys);
   Row key(num_keys);
-  std::vector<AggState*> group_of;
+  std::vector<AggState*> stream_groups;  // by dense per-stream index
+  std::vector<uint32_t> group_of;        // per row: dense index
 
   for (;;) {
     if (query_ctx != nullptr) NLQ_RETURN_IF_ERROR(query_ctx->CheckAlive());
@@ -80,11 +83,18 @@ Status AccumulateColumnStream(const PlanNode& child, size_t stream,
       group_of.resize(n);
       for (size_t r = 0; r < n; ++r) {
         for (size_t k = 0; k < num_keys; ++k) key[k] = key_cols[k][r];
-        NLQ_ASSIGN_OR_RETURN(group_of[r],
+        const size_t known = groups->size();
+        NLQ_ASSIGN_OR_RETURN(AggState * state,
                              FindOrInitGroup(specs, key, memory, groups));
+        if (groups->size() != known) {
+          state->stream_index = static_cast<uint32_t>(stream_groups.size());
+          stream_groups.push_back(state);
+        }
+        group_of[r] = state->stream_index;
       }
       NLQ_RETURN_IF_ERROR(AccumulateGroupedSpanBatch(
-          specs, spec_args, slot_to_col, batch, group_of.data(), &scratch));
+          specs, spec_args, slot_to_col, batch, stream_groups,
+          group_of.data(), &scratch));
     }
 
     if (query_ctx != nullptr && query_ctx->stats() != nullptr) {

@@ -24,7 +24,10 @@ namespace nlq::engine::exec {
 /// morsel stream keeps one partial state and aggregate UDFs that
 /// support spans take whole batches through AccumulateSpans (bare
 /// DOUBLE columns zero-copy, expression arguments from VM registers).
-/// A planner-attached maintained view (UseView) serves such a
+/// With keys, such a UDF takes one AccumulateSpans call per group of
+/// each batch, its rows gathered in row order (the per-segment models
+/// of the paper's Table 5 and the K-means step).
+/// A planner-attached maintained view (UseView) serves a global
 /// statement from the ViewRegistry instead; when serving fails the
 /// node degrades to its own scan.
 ///

@@ -182,64 +182,223 @@ bool SimdSelected() {
 #if defined(NLQ_KERNEL_X86)
 
 /// Rows transposed per AVX2 block: 64 rows x 64 dims = 32 KB of
-/// row-major scratch, small enough to stay L1/L2-resident together
-/// with the Q matrix rows the per-row updates stream over.
+/// row-major scratch, small enough to stay L1/L2-resident while every
+/// register tile of the block streams over it.
 constexpr size_t kSimdRowBlock = 64;
+
+/// Q register tile height: kQTileRows rows of Q by up to 8 columns
+/// (two ymm per row) stay in registers across a block.
+constexpr size_t kQTileRows = 4;
+
+/// All-ones in lanes j < n of a 4-lane mask (n may be <= 0 or >= 4).
+__attribute__((target("avx2"))) inline __m256i LaneMask(ptrdiff_t n) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(n),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+/// Stores the first `n` lanes of `v` to `p` (n may be <= 0 or >= 4);
+/// lanes at and past `n` leave memory untouched.
+__attribute__((target("avx2"))) inline void StoreLanes(double* p, __m256d v,
+                                                       ptrdiff_t n) {
+  if (n >= 4) {
+    _mm256_storeu_pd(p, v);
+  } else if (n > 0) {
+    _mm256_maskstore_pd(p, LaneMask(n), v);
+  }
+}
+
+/// L, min and max of columns [a0, a0 + 4 * kVecs) over one transposed
+/// block, in registers; only columns below d are stored back.
+template <size_t kVecs>
+__attribute__((target("avx2"))) void LMinMaxTileAvx2(NlqState* s,
+                                                     const double* xrow,
+                                                     size_t stride,
+                                                     size_t rn, size_t a0,
+                                                     size_t d) {
+  __m256d l[kVecs], mn[kVecs], mx[kVecs];
+#pragma GCC unroll 2
+  for (size_t c = 0; c < kVecs; ++c) {
+    l[c] = _mm256_loadu_pd(s->l + a0 + 4 * c);
+    mn[c] = _mm256_loadu_pd(s->mn + a0 + 4 * c);
+    mx[c] = _mm256_loadu_pd(s->mx + a0 + 4 * c);
+  }
+  for (size_t i = 0; i < rn; ++i) {
+    const double* x = xrow + i * stride + a0;
+#pragma GCC unroll 2
+    for (size_t c = 0; c < kVecs; ++c) {
+      const __m256d v = _mm256_load_pd(x + 4 * c);
+      l[c] = _mm256_add_pd(l[c], v);
+      mn[c] = _mm256_min_pd(v, mn[c]);
+      mx[c] = _mm256_max_pd(v, mx[c]);
+    }
+  }
+#pragma GCC unroll 2
+  for (size_t c = 0; c < kVecs; ++c) {
+    const ptrdiff_t valid =
+        static_cast<ptrdiff_t>(d) - static_cast<ptrdiff_t>(a0 + 4 * c);
+    StoreLanes(s->l + a0 + 4 * c, l[c], valid);
+    StoreLanes(s->mn + a0 + 4 * c, mn[c], valid);
+    StoreLanes(s->mx + a0 + 4 * c, mx[c], valid);
+  }
+}
+
+/// One Q register tile over a transposed block: rows [a0, a0 + kRows)
+/// (all below d) by columns [b0, b0 + 4 * kVecs). Each row broadcasts
+/// x[a], each column vector is loaded once per row, and every
+/// accumulator lane takes its product by a separate multiply, then
+/// add. Only the entries the kind defines (b <= a for
+/// lower-triangular, b < d always) are stored back.
+template <size_t kRows, size_t kVecs>
+__attribute__((target("avx2"))) void QTileAvx2(NlqState* s,
+                                               const double* xrow,
+                                               size_t stride, size_t rn,
+                                               size_t a0, size_t b0,
+                                               size_t d, bool lower) {
+  __m256d acc[kRows][kVecs];
+#pragma GCC unroll 4
+  for (size_t k = 0; k < kRows; ++k) {
+#pragma GCC unroll 2
+    for (size_t c = 0; c < kVecs; ++c) {
+      acc[k][c] = _mm256_loadu_pd(s->q[a0 + k] + b0 + 4 * c);
+    }
+  }
+  for (size_t i = 0; i < rn; ++i) {
+    const double* x = xrow + i * stride;
+    __m256d xb[kVecs];
+#pragma GCC unroll 2
+    for (size_t c = 0; c < kVecs; ++c) xb[c] = _mm256_load_pd(x + b0 + 4 * c);
+#pragma GCC unroll 4
+    for (size_t k = 0; k < kRows; ++k) {
+      const __m256d xa = _mm256_broadcast_sd(x + a0 + k);
+#pragma GCC unroll 2
+      for (size_t c = 0; c < kVecs; ++c) {
+        acc[k][c] = _mm256_add_pd(acc[k][c], _mm256_mul_pd(xa, xb[c]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t k = 0; k < kRows; ++k) {
+    const size_t a = a0 + k;
+    const size_t limit = lower ? a + 1 : d;
+#pragma GCC unroll 2
+    for (size_t c = 0; c < kVecs; ++c) {
+      StoreLanes(s->q[a] + b0 + 4 * c, acc[k][c],
+                 static_cast<ptrdiff_t>(limit) -
+                     static_cast<ptrdiff_t>(b0 + 4 * c));
+    }
+  }
+}
+
+/// Copies rows [r0, r0 + rn) of the d column spans into row-major
+/// `xrow` (row stride `stride`): 4 x 4 blocks through registers, the
+/// column and row remainders one value at a time.
+__attribute__((target("avx2"))) void TransposeBlockAvx2(
+    const double* const* cols, size_t r0, size_t rn, size_t d,
+    size_t stride, double* xrow) {
+  size_t a = 0;
+  for (; a + 4 <= d; a += 4) {
+    const double* c0 = cols[a] + r0;
+    const double* c1 = cols[a + 1] + r0;
+    const double* c2 = cols[a + 2] + r0;
+    const double* c3 = cols[a + 3] + r0;
+    size_t i = 0;
+    for (; i + 4 <= rn; i += 4) {
+      const __m256d v0 = _mm256_loadu_pd(c0 + i);
+      const __m256d v1 = _mm256_loadu_pd(c1 + i);
+      const __m256d v2 = _mm256_loadu_pd(c2 + i);
+      const __m256d v3 = _mm256_loadu_pd(c3 + i);
+      const __m256d lo01 = _mm256_unpacklo_pd(v0, v1);
+      const __m256d hi01 = _mm256_unpackhi_pd(v0, v1);
+      const __m256d lo23 = _mm256_unpacklo_pd(v2, v3);
+      const __m256d hi23 = _mm256_unpackhi_pd(v2, v3);
+      double* x = xrow + i * stride + a;
+      _mm256_store_pd(x, _mm256_permute2f128_pd(lo01, lo23, 0x20));
+      _mm256_store_pd(x + stride, _mm256_permute2f128_pd(hi01, hi23, 0x20));
+      _mm256_store_pd(x + 2 * stride,
+                      _mm256_permute2f128_pd(lo01, lo23, 0x31));
+      _mm256_store_pd(x + 3 * stride,
+                      _mm256_permute2f128_pd(hi01, hi23, 0x31));
+    }
+    for (; i < rn; ++i) {
+      double* x = xrow + i * stride + a;
+      x[0] = c0[i];
+      x[1] = c1[i];
+      x[2] = c2[i];
+      x[3] = c3[i];
+    }
+  }
+  for (; a < d; ++a) {
+    const double* col = cols[a] + r0;
+    for (size_t i = 0; i < rn; ++i) xrow[i * stride + a] = col[i];
+  }
+}
+
+/// Dispatches one Q tile of `rows` (1..4) Q rows to its register
+/// shape.
+template <size_t kVecs>
+__attribute__((target("avx2"))) void QTileRowsAvx2(
+    NlqState* s, const double* xrow, size_t stride, size_t rn, size_t a0,
+    size_t b0, size_t d, bool lower, size_t rows) {
+  switch (rows) {
+    case 1:
+      return QTileAvx2<1, kVecs>(s, xrow, stride, rn, a0, b0, d, lower);
+    case 2:
+      return QTileAvx2<2, kVecs>(s, xrow, stride, rn, a0, b0, d, lower);
+    case 3:
+      return QTileAvx2<3, kVecs>(s, xrow, stride, rn, a0, b0, d, lower);
+    default:
+      return QTileAvx2<4, kVecs>(s, xrow, stride, rn, a0, b0, d, lower);
+  }
+}
 
 /// AVX2 span accumulation for the lower-triangular and full kinds.
 ///
-/// Strategy: transpose the block to row-major scratch, then fold one
-/// row at a time exactly like NlqAccumulatePoint, vectorizing each
-/// row's rank-1 update across *accumulators* (4 adjacent l/mn/mx slots
-/// or 4 adjacent q[a][b..b+3] slots per lane group). Every accumulator
-/// therefore still sees its contributions as one sequential FP chain
-/// in row order — bit-identical to the scalar paths. Multiplies and
-/// adds stay separate intrinsics (this TU enables AVX2 but not FMA, so
-/// the compiler cannot contract them), and MINPD/MAXPD with the new
-/// value as the *first* operand reproduces `(v < mn) ? v : mn`
-/// exactly, signed zeros and NaNs included.
+/// Strategy: transpose each block of up to 64 rows to row-major
+/// scratch (row stride d rounded up to 8, padding zeroed), then sweep
+/// register tiles over it. A Q tile holds 4 Q rows x 8 columns in 8
+/// ymm accumulators for the whole block: per row it broadcasts x[a]
+/// for its 4 rows, loads x[b..b+7] once, and does a separate multiply,
+/// then add, per accumulator. L/min/max ride in registers the same
+/// way, 8 columns per tile. Lanes run across *accumulators*, never
+/// across rows, so every accumulator still sees its contributions as
+/// one sequential FP chain in row order — bit-identical to the scalar
+/// paths. This TU enables AVX2 but not FMA, so the compiler cannot
+/// contract the multiply and add, and MINPD/MAXPD with the new value
+/// as the *first* operand reproduces `(v < mn) ? v : mn` exactly,
+/// signed zeros and NaNs included. Tiles that cross the diagonal (the
+/// lower kind) or the d edge compute padding lanes and drop them with
+/// masked stores, so state outside the kind's entries is never
+/// written.
 __attribute__((target("avx2"))) void AccumulateSpansAvx2(
     NlqState* s, const double* const* cols, size_t rows) {
   const size_t d = static_cast<size_t>(s->d);
   const bool lower =
       static_cast<MatrixKind>(s->kind) == MatrixKind::kLowerTriangular;
-  alignas(32) double xrow[kSimdRowBlock * kMaxUdfDims];
+  const size_t stride = (d + 7) & ~size_t{7};
+  alignas(64) double xrow[kSimdRowBlock * kMaxUdfDims];
+  const size_t first = std::min(kSimdRowBlock, rows);
+  for (size_t i = 0; i < first; ++i) {
+    for (size_t a = d; a < stride; ++a) xrow[i * stride + a] = 0.0;
+  }
   for (size_t r0 = 0; r0 < rows; r0 += kSimdRowBlock) {
     const size_t rn = std::min(kSimdRowBlock, rows - r0);
-    for (size_t a = 0; a < d; ++a) {
-      const double* col = cols[a] + r0;
-      for (size_t i = 0; i < rn; ++i) xrow[i * d + a] = col[i];
+    TransposeBlockAvx2(cols, r0, rn, d, stride, xrow);
+    for (size_t a0 = 0; a0 < d; a0 += 8) {
+      if (d - a0 > 4) {
+        LMinMaxTileAvx2<2>(s, xrow, stride, rn, a0, d);
+      } else {
+        LMinMaxTileAvx2<1>(s, xrow, stride, rn, a0, d);
+      }
     }
-    for (size_t i = 0; i < rn; ++i) {
-      const double* x = xrow + i * d;
-      size_t a = 0;
-      for (; a + 4 <= d; a += 4) {
-        const __m256d xv = _mm256_loadu_pd(x + a);
-        const __m256d lv = _mm256_loadu_pd(s->l + a);
-        _mm256_storeu_pd(s->l + a, _mm256_add_pd(lv, xv));
-        const __m256d mnv = _mm256_loadu_pd(s->mn + a);
-        _mm256_storeu_pd(s->mn + a, _mm256_min_pd(xv, mnv));
-        const __m256d mxv = _mm256_loadu_pd(s->mx + a);
-        _mm256_storeu_pd(s->mx + a, _mm256_max_pd(xv, mxv));
-      }
-      for (; a < d; ++a) {
-        const double v = x[a];
-        s->l[a] += v;
-        if (v < s->mn[a]) s->mn[a] = v;
-        if (v > s->mx[a]) s->mx[a] = v;
-      }
-      for (a = 0; a < d; ++a) {
-        const __m256d xav = _mm256_set1_pd(x[a]);
-        double* qrow = s->q[a];
-        const size_t bmax = lower ? a + 1 : d;
-        size_t b = 0;
-        for (; b + 4 <= bmax; b += 4) {
-          const __m256d xbv = _mm256_loadu_pd(x + b);
-          const __m256d qv = _mm256_loadu_pd(qrow + b);
-          _mm256_storeu_pd(qrow + b,
-                           _mm256_add_pd(qv, _mm256_mul_pd(xav, xbv)));
+    for (size_t a0 = 0; a0 < d; a0 += kQTileRows) {
+      const size_t tile_rows = std::min(kQTileRows, d - a0);
+      const size_t bend = lower ? a0 + tile_rows : d;
+      for (size_t b0 = 0; b0 < bend; b0 += 8) {
+        if (bend - b0 > 4) {
+          QTileRowsAvx2<2>(s, xrow, stride, rn, a0, b0, d, lower, tile_rows);
+        } else {
+          QTileRowsAvx2<1>(s, xrow, stride, rn, a0, b0, d, lower, tile_rows);
         }
-        for (; b < bmax; ++b) qrow[b] += x[a] * x[b];
       }
     }
   }
@@ -316,10 +475,10 @@ void NlqAccumulateSpans(NlqState* s, const double* const* cols, size_t rows) {
   s->n += static_cast<double>(rows);
 #if defined(NLQ_KERNEL_X86)
   // The AVX2 path covers the dense kinds where the Q update dominates;
-  // the diagonal kind and tiny d stay on the (already cheap) scalar
-  // path rather than paying the transpose.
+  // the diagonal kind stays on the (already cheap) scalar path rather
+  // than paying the transpose.
   if (static_cast<MatrixKind>(s->kind) != MatrixKind::kDiagonal &&
-      static_cast<size_t>(s->d) >= 4 && SimdSelected()) {
+      SimdSelected()) {
     AccumulateSpansAvx2(s, cols, rows);
     return;
   }
@@ -337,12 +496,17 @@ Status NlqMergeStates(NlqState* dst, const NlqState* src) {
     return Status::Internal("nlq: partial states disagree on d or kind");
   }
   const size_t d = static_cast<size_t>(dst->d);
+  const MatrixKind kind = static_cast<MatrixKind>(dst->kind);
   dst->n += src->n;
   for (size_t a = 0; a < d; ++a) {
     dst->l[a] += src->l[a];
     if (src->mn[a] < dst->mn[a]) dst->mn[a] = src->mn[a];
     if (src->mx[a] > dst->mx[a]) dst->mx[a] = src->mx[a];
-    for (size_t b = 0; b < d; ++b) dst->q[a][b] += src->q[a][b];
+    // Only the kind's entries: the others stay +0 in every state, so
+    // adding them would change no bit.
+    const size_t b0 = kind == MatrixKind::kDiagonal ? a : 0;
+    const size_t b1 = kind == MatrixKind::kFull ? d : a + 1;
+    for (size_t b = b0; b < b1; ++b) dst->q[a][b] += src->q[a][b];
   }
   return Status::OK();
 }

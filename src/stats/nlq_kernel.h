@@ -54,12 +54,20 @@ void NlqAccumulatePoint(NlqState* s, const double* x);
 ///  - scalar: blocked (kRowBlock rows stay cache-resident across the Q
 ///    passes) and tiled (independent accumulator chains per inner loop
 ///    hide FP-add latency);
-///  - avx2 (x86-64 with AVX2, lower-triangular/full kinds, d >= 4):
-///    transposes each block to row-major and performs per-row rank-1
-///    updates with lanes across *accumulators* (separate vector mul
-///    then add — never FMA — and MINPD/MAXPD operand order chosen to
-///    reproduce the scalar `if (v < mn)` semantics including NaN and
-///    signed-zero cases).
+///  - avx2 (x86-64 with AVX2, lower-triangular/full kinds, any d):
+///    transposes each 64-row block to row-major scratch, then holds
+///    register tiles across the whole block — 4 Q rows x 8 columns in
+///    8 ymm accumulators, and L/min/max 8 columns at a time. Per row a
+///    tile broadcasts x[a], loads x[b..b+7] once and does a separate
+///    vector multiply, then add (never FMA); lanes run across
+///    *accumulators*, never across rows, and MINPD/MAXPD operand order
+///    reproduces the scalar `if (v < mn)` semantics including NaN and
+///    signed-zero cases. Tiles crossing the diagonal (lower kind) or
+///    the d edge drop their padding lanes with masked stores, so no
+///    state slot outside the kind's entries is ever written.
+/// Two NaN inputs meeting in one product or sum may leave a different
+/// NaN payload than the per-row path (IEEE 754 leaves that choice
+/// open); every other bit matches.
 void NlqAccumulateSpans(NlqState* s, const double* const* cols, size_t rows);
 
 /// Kernel selection for NlqAccumulateSpans. kAuto (default) picks AVX2

@@ -201,6 +201,62 @@ TEST_F(EngineErrorsTest, ScalarUdfStatusMatchesInterpretedUnderLazyOperators) {
                  "compiled");
 }
 
+TEST_F(EngineErrorsTest, GroupedSpanUdfStatusMatchesInterpreted) {
+  // One partition, rows in insertion order: the first row of every
+  // scan batch belongs to group 3, whose w is always NULL. The
+  // compiled plan's first per-group span call therefore has every row
+  // compacted away and must still fail on the bad kind, exactly where
+  // the row path's first Accumulate does.
+  auto db = nlq::testing::MakeTestDatabase(/*num_partitions=*/1);
+  NLQ_ASSERT_OK(
+      db->ExecuteCommand("CREATE TABLE g (i BIGINT, v DOUBLE, w DOUBLE)"));
+  std::string insert = "INSERT INTO g VALUES ";
+  for (int i = 3; i < 3 + 3000; ++i) {
+    if (i > 3) insert += ", ";
+    insert += "(" + std::to_string(i) + ", " + std::to_string(i) + ", " +
+              (i % 4 == 3 ? std::string("NULL") : std::to_string(i / 2)) +
+              ")";
+  }
+  NLQ_ASSERT_OK(db->ExecuteCommand(insert));
+  QueryOptions interpreted;
+  interpreted.force_interpreted = true;
+  for (const char* sql :
+       {"SELECT i % 4, nlq_list('bogus', v, w) FROM g GROUP BY i % 4",
+        "SELECT i % 4, nlq_list('bogus', w, v) FROM g WHERE i % 4 = 3 "
+        "GROUP BY i % 4",
+        "SELECT i % 4, count(*), nlq_list('bogus', v) FROM g GROUP BY i % 4"}) {
+    auto plan = db->Explain(sql);
+    NLQ_ASSERT_OK(plan.status());
+    EXPECT_NE(plan->find("VectorHashAggregate"), std::string::npos) << *plan;
+    auto oracle = db->Execute(sql, interpreted);
+    auto compiled = db->Execute(sql);
+    ASSERT_FALSE(oracle.ok()) << sql;
+    ASSERT_FALSE(compiled.ok()) << sql;
+    EXPECT_EQ(oracle.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_EQ(compiled.status().ToString(), oracle.status().ToString())
+        << sql;
+  }
+  // With a valid kind the all-NULL group keeps its fixed shape and
+  // counts no row, bit for bit as on the row path.
+  const char* ok_sql =
+      "SELECT i % 4, nlq_list('triang', v, w), count(*) FROM g GROUP BY i % 4";
+  auto oracle = db->Execute(ok_sql, interpreted);
+  auto compiled = db->Execute(ok_sql);
+  NLQ_ASSERT_OK(oracle.status());
+  NLQ_ASSERT_OK(compiled.status());
+  ASSERT_EQ(compiled->num_rows(), 4u);
+  for (size_t r = 0; r < compiled->num_rows(); ++r) {
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(compiled->At(r, c).ToString(), oracle->At(r, c).ToString())
+          << "row " << r << " column " << c;
+    }
+    if (compiled->At(r, 0).int_value() == 3) {
+      EXPECT_EQ(compiled->At(r, 1).string_value().rfind("2|1|0|", 0), 0u)
+          << compiled->At(r, 1).string_value();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Edge cases
 // ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@
 #include "common/failpoint.h"
 #include "connect/odbc_sim.h"
 #include "engine/database.h"
+#include "engine/exec/executor.h"
 #include "engine/exec/view_registry.h"
+#include "engine/parser.h"
 #include "gen/datagen.h"
 #include "storage/table.h"
 #include "tests/test_util.h"
+#include "udf/heap_segment.h"
 
 namespace nlq {
 namespace {
@@ -167,6 +170,56 @@ TEST_F(FaultInjectionTest, PartialAggregatesDiscardedCleanlyUnderAsan) {
 
   auto ok = db_->Execute("SELECT nlq_list('full', X1, X2) FROM X");
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+}
+
+TEST_F(FaultInjectionTest, GroupedUdfAccumulateFaultFreesEveryPartialState) {
+  // Under GROUP BY, nlq_list takes one AccumulateSpans call per group
+  // of a scan batch. A fault on a late call fails the statement with
+  // the injected status, and unwinding frees every partial group
+  // state: of the statement's memory charges (one 64 KiB UDF heap
+  // segment per stream and group, plus a small group-table entry) only
+  // the entries are left. The statement runs under a context this test
+  // owns so its tracker can be read afterwards.
+  const std::string sql =
+      "SELECT i % 16, nlq_list('triang', X1, X2) FROM X GROUP BY i % 16";
+  NLQ_ASSERT_OK_AND_ASSIGN(engine::Statement stmt,
+                           engine::ParseStatement(sql));
+  QueryContext ctx;
+  MemoryTracker tracker;
+  ctx.set_memory(&tracker);
+  engine::exec::Planner planner(&db_->catalog(), &db_->udfs(), &db_->pool(),
+                                storage::RowBatch::kDefaultCapacity,
+                                db_->options().morsel_rows, &ctx);
+  NLQ_ASSERT_OK_AND_ASSIGN(engine::exec::PhysicalPlan plan,
+                           planner.Plan(*stmt.select));
+  ASSERT_EQ(plan.root->name(), std::string("VectorHashAggregate"));
+
+  failpoint::Activate("udf_accumulate",
+                      Status::Internal("injected grouped ROW-phase fault"),
+                      /*skip=*/20);
+  auto result = engine::exec::ExecutePlan(plan, &ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("injected grouped ROW-phase"),
+            std::string::npos);
+  EXPECT_GE(failpoint::HitCount("udf_accumulate"), 21);
+  EXPECT_GE(tracker.peak(), 16 * udf::kDefaultHeapCapacity);
+  EXPECT_LT(tracker.used(), udf::kDefaultHeapCapacity);
+  failpoint::Deactivate("udf_accumulate");
+
+  // The next statement answers exactly like the row path.
+  auto ok = db_->Execute(sql);
+  NLQ_ASSERT_OK(ok.status());
+  engine::QueryOptions interpreted;
+  interpreted.force_interpreted = true;
+  auto oracle = db_->Execute(sql, interpreted);
+  NLQ_ASSERT_OK(oracle.status());
+  ASSERT_EQ(ok->num_rows(), 16u);
+  ASSERT_EQ(oracle->num_rows(), 16u);
+  for (size_t r = 0; r < ok->num_rows(); ++r) {
+    EXPECT_EQ(ok->At(r, 1).string_value(), oracle->At(r, 1).string_value());
+  }
+  ExpectEngineRecovered();
 }
 
 TEST_F(FaultInjectionTest, ExprCompileFaultForcesInterpretedFallback) {
