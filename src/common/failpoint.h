@@ -37,10 +37,11 @@ namespace nlq::failpoint {
 ///                     the buffer-pool read path)
 ///   odbc_export     — odbc_sim export (retried as a transient link
 ///                     fault)
-///   view_maintenance — maintained-view delta/seed accumulation
+///   view_maintenance — maintained-view take and store
 ///                     (engine/exec/view_registry.cc); an armed fault
-///                     drops the view and degrades the statement to a
-///                     plain full rescan — results stay correct
+///                     drops the view, and the statement's own scan
+///                     answers (a failed take seeds from a full scan)
+///                     — results stay correct
 ///   server_accept   — server accept path (server/server.cc); an armed
 ///                     fault drops that one accepted connection, the
 ///                     listener survives

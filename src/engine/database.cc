@@ -5,7 +5,6 @@
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
-#include "engine/exec/bytecode.h"
 #include "engine/exec/executor.h"
 #include "engine/exec/planner.h"
 #include "engine/exec/view_registry.h"
@@ -102,7 +101,6 @@ Database::Database(DatabaseOptions options)
     threads = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
   pool_ = std::make_unique<ThreadPool>(threads);
-  bytecode_cache_ = std::make_unique<exec::BytecodeCache>();
   if (options_.enable_view_maintenance) {
     view_registry_ = std::make_unique<exec::ViewRegistry>(
         options_.max_maintained_views, options_.view_memory_limit);
@@ -140,7 +138,7 @@ StatusOr<ResultSet> Database::ExecuteSelect(const SelectStatement& select,
   exec::Planner planner(&catalog_, &registry_, pool_.get(),
                         storage::RowBatch::kDefaultCapacity,
                         options_.morsel_rows, ctx, !force_interpreted,
-                        bytecode_cache_.get(), view_registry_.get());
+                        view_registry_.get());
   NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan, planner.Plan(select));
   if (ctx != nullptr && ctx->stats() != nullptr) {
     exec::AttachQueryStats(plan.root.get(), ctx->stats());
@@ -336,8 +334,7 @@ StatusOr<ResultSet> Database::ExecuteStatement(Statement& stmt,
         exec::Planner planner(
             &catalog_, &registry_, pool_.get(),
             storage::RowBatch::kDefaultCapacity, options_.morsel_rows, ctx,
-            !force_interpreted,
-            bytecode_cache_.get(), view_registry_.get());
+            !force_interpreted, view_registry_.get());
         NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan,
                              planner.Plan(*stmt.select));
         return PlanTextToResultSet(exec::ExplainPlan(*plan.root));
@@ -374,8 +371,7 @@ StatusOr<std::string> Database::Explain(std::string_view sql,
   exec::Planner planner(
       &catalog_, &registry_, pool_.get(), storage::RowBatch::kDefaultCapacity,
       options_.morsel_rows, /*ctx=*/nullptr,
-      !query_options.force_interpreted,
-      bytecode_cache_.get(), view_registry_.get());
+      !query_options.force_interpreted, view_registry_.get());
   NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan, planner.Plan(*stmt.select));
   return exec::ExplainPlan(*plan.root);
 }

@@ -22,7 +22,6 @@
 namespace nlq::engine {
 
 namespace exec {
-class BytecodeCache;
 class ViewRegistry;
 }  // namespace exec
 
@@ -82,17 +81,16 @@ struct DatabaseOptions {
 
   /// Maintain materialized sufficient-statistic views: eligible global
   /// n,L,Q aggregates keep per-morsel partials registered across
-  /// statements, so a model rebuild after k appended rows accumulates
-  /// only those k rows (O(delta)) instead of rescanning the table.
+  /// statements, so a model rebuild after k appended rows scans only
+  /// those k rows (O(delta)) instead of rescanning the table.
   /// Results are bit-identical to a full rescan (DESIGN.md §13); any
   /// non-append mutation invalidates the view and falls back to the
   /// normal columnar pipeline.
   bool enable_view_maintenance = false;
 
   /// Byte budget for stored view partial state across all maintained
-  /// views (0 = unlimited, still tracked). Exceeding it fails that
-  /// view's accumulate, which degrades the statement to a plain rescan
-  /// and drops the view.
+  /// views (0 = unlimited, still tracked). A store that would exceed
+  /// it drops the view; the statement still answers from its own scan.
   uint64_t view_memory_limit = 256ull << 20;
 
   /// Maximum number of maintained views kept; registering past the cap
@@ -137,7 +135,7 @@ struct QueryOptions {
 /// concurrently and serializes catalog-mutating ones (CREATE/INSERT/
 /// DROP, SpillTable) exclusively against everything else, like a
 /// database-level S/X lock. Concurrent SELECTs share the thread pool
-/// (sections queue) and the bytecode cache, and read the tables'
+/// (sections queue) and the view registry, and read the tables'
 /// column chunks without touching shared state — results stay
 /// bit-identical to running the same statements one at a time. This is what the server front end
 /// (src/server) builds on; embedded single-threaded use pays one
@@ -154,7 +152,7 @@ struct QueryOptions {
 class Database {
  public:
   explicit Database(DatabaseOptions options = {});
-  ~Database();  // out-of-line: owns a forward-declared BytecodeCache
+  ~Database();  // out-of-line: owns a forward-declared ViewRegistry
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -286,7 +284,7 @@ class Database {
   /// data-mutating statements (CREATE/INSERT/DROP, SpillTable) hold it
   /// exclusive. What makes shared mode safe is that every structure a
   /// read-only statement writes is internally synchronized — pool
-  /// sections, bytecode cache, view registry, live-query map, metrics
+  /// sections, view registry, live-query map, metrics
   /// — and table data is only read.
   mutable std::shared_mutex statement_mu_;
 
@@ -298,11 +296,6 @@ class Database {
   storage::Catalog catalog_;
   udf::UdfRegistry registry_;
   std::unique_ptr<ThreadPool> pool_;
-
-  /// Compiled-program cache shared by every statement this database
-  /// executes (see exec/bytecode.h). Owned here so repeated model
-  /// builds reuse their programs.
-  std::unique_ptr<exec::BytecodeCache> bytecode_cache_;
 
   /// Maintained-view registry (see exec/view_registry.h), created only
   /// when options_.enable_view_maintenance is set. Declared after

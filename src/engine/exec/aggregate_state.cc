@@ -307,6 +307,27 @@ Status AccumulateBatch(const std::vector<AggregateSpec>& specs,
   return Status::OK();
 }
 
+/// FINALIZE phase: seeds the empty-input global group (a global
+/// aggregate over no rows still yields one row), then finalizes every
+/// group in map order, filters by HAVING and projects.
+StatusOr<std::vector<Row>> FinalizeGroups(const BoundAggregation& agg,
+                                          bool has_having, size_t num_output,
+                                          GroupMap* groups,
+                                          MemoryTracker* memory) {
+  if (groups->empty() && agg.key_exprs.empty()) {
+    NLQ_RETURN_IF_ERROR(
+        FindOrInitGroup(agg.specs, Row{}, memory, groups).status());
+  }
+  std::vector<Row> rows;
+  rows.reserve(groups->size());
+  for (const auto& [key, state] : *groups) {
+    NLQ_ASSIGN_OR_RETURN(Row aggs, FinalizeAggState(agg.specs, state));
+    NLQ_RETURN_IF_ERROR(
+        EmitGroup(agg, has_having, num_output, key, aggs, &rows));
+  }
+  return rows;
+}
+
 }  // namespace
 
 Status InitAggState(const std::vector<AggregateSpec>& specs,
@@ -472,21 +493,28 @@ StatusOr<std::vector<Row>> MergeAndFinalize(const BoundAggregation& agg,
     (*partials)[p].clear();
   }
 
-  // Global aggregate over empty input still yields one row.
-  if (global.empty() && agg.key_exprs.empty()) {
-    NLQ_RETURN_IF_ERROR(
-        FindOrInitGroup(agg.specs, Row{}, memory, &global).status());
-  }
+  return FinalizeGroups(agg, has_having, num_output, &global, memory);
+}
 
-  // FINALIZE phase: finalize aggregates, filter by HAVING, project.
-  std::vector<Row> rows;
-  rows.reserve(global.size());
-  for (const auto& [key, state] : global) {
-    NLQ_ASSIGN_OR_RETURN(Row aggs, FinalizeAggState(agg.specs, state));
-    NLQ_RETURN_IF_ERROR(
-        EmitGroup(agg, has_having, num_output, key, aggs, &rows));
+StatusOr<std::vector<Row>> MergeAndFinalize(
+    const BoundAggregation& agg, bool has_having, size_t num_output,
+    const std::vector<const AggState*>& partials, MemoryTracker* memory) {
+  // MERGE phase, reading every partial in place: the accumulator starts
+  // as a copy of the first partial where the moving overload takes the
+  // first partial itself.
+  GroupMap global;
+  AggState* acc = nullptr;
+  for (const AggState* partial : partials) {
+    if (partial == nullptr) continue;
+    if (acc != nullptr) {
+      NLQ_RETURN_IF_ERROR(MergeAggState(agg.specs, *partial, acc));
+      continue;
+    }
+    AggState first;
+    NLQ_RETURN_IF_ERROR(CloneAggState(agg.specs, memory, *partial, &first));
+    acc = &global.emplace(Row{}, std::move(first)).first->second;
   }
-  return rows;
+  return FinalizeGroups(agg, has_having, num_output, &global, memory);
 }
 
 Status AccumulateSpanBatch(const std::vector<AggregateSpec>& specs,

@@ -17,13 +17,13 @@
 namespace nlq::engine::exec {
 
 /// The INIT / ROW / MERGE / FINALIZE machinery of every aggregate: the
-/// interpreted HashAggregateNode, the columnar VectorHashAggregateNode
-/// and the maintained-view registry all keep, update, merge, clone and
-/// finalize aggregation state through this one module. One copy of
-/// each rule is the cheapest proof that their results stay
-/// byte-identical: only how the ROW phase obtains argument values
-/// differs (interpreted Datums, bytecode registers, or column spans
-/// read in place).
+/// interpreted HashAggregateNode and the columnar
+/// VectorHashAggregateNode (whose per-morsel partials a maintained view
+/// stores between statements) keep, update, merge, clone and finalize
+/// aggregation state through this one module. One copy of each rule is
+/// the cheapest proof that their results stay byte-identical: only how
+/// the ROW phase obtains argument values differs (interpreted Datums,
+/// bytecode registers, or column spans read in place).
 
 /// State of one SQL builtin (sum/count/avg/min/max; COUNT(*) uses
 /// `count` only).
@@ -148,6 +148,15 @@ Status EmitGroup(const BoundAggregation& agg, bool has_having,
 StatusOr<std::vector<storage::Row>> MergeAndFinalize(
     const BoundAggregation& agg, bool has_having, size_t num_output,
     std::vector<GroupMap>* partials, MemoryTracker* memory);
+
+/// The same MERGE + FINALIZE for a global aggregate whose per-morsel
+/// partials outlive it (a maintained view keeps them): reads each
+/// non-null partial in place, in stream order, folding into a copy of
+/// the first — the bytes the overload above makes from the same
+/// partials.
+StatusOr<std::vector<storage::Row>> MergeAndFinalize(
+    const BoundAggregation& agg, bool has_having, size_t num_output,
+    const std::vector<const AggState*>& partials, MemoryTracker* memory);
 
 // ---------------------------------------------------------------------------
 // Columnar ROW phase

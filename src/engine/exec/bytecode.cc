@@ -974,32 +974,10 @@ std::shared_ptr<CompiledExpr> BytecodeBuilder::Finish(ValueId root) {
 }
 
 // ---------------------------------------------------------------------------
-// Cache + entry point
+// Entry point
 // ---------------------------------------------------------------------------
 
-CompiledExprPtr BytecodeCache::Intern(std::shared_ptr<CompiledExpr> prog) {
-  // Registry lookups are per-compile (statement planning), never
-  // per-row; references are re-resolved each time because
-  // ResetForTest invalidates cached pointers.
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(prog->cache_key());
-  if (it != cache_.end()) {
-    MetricsRegistry::Global().counter("bytecode.cache_hits").Increment();
-    return it->second;
-  }
-  if (cache_.size() >= kMaxEntries) cache_.clear();
-  CompiledExprPtr shared = std::move(prog);
-  cache_.emplace(shared->cache_key(), shared);
-  MetricsRegistry::Global().counter("bytecode.compiles").Increment();
-  return shared;
-}
-
-size_t BytecodeCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.size();
-}
-
-CompiledExprPtr CompileExpr(const BoundExpr& expr, BytecodeCache* cache) {
+CompiledExprPtr CompileExpr(const BoundExpr& expr) {
 #if defined(NLQ_FAILPOINTS)
   // Armed `expr_compile` forces the interpreted fallback everywhere.
   // Guarded by the build flag (not just Check) so Release binaries
@@ -1011,7 +989,6 @@ CompiledExprPtr CompileExpr(const BoundExpr& expr, BytecodeCache* cache) {
   if (root < 0) return nullptr;
   std::shared_ptr<CompiledExpr> prog = builder.Finish(root);
   if (prog == nullptr) return nullptr;
-  if (cache != nullptr) return cache->Intern(std::move(prog));
   MetricsRegistry::Global().counter("bytecode.compiles").Increment();
   return prog;
 }

@@ -4,9 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -107,8 +105,8 @@ struct CallSite {
   std::vector<Arg> args;
 };
 
-/// An immutable compiled program. Shared (via the cache) between
-/// plans and streams; all evaluation state lives in ExprVM.
+/// An immutable compiled program, shared by the streams of one plan;
+/// all evaluation state lives in ExprVM.
 class CompiledExpr {
  public:
   const std::vector<Instr>& instructions() const { return instrs_; }
@@ -122,8 +120,8 @@ class CompiledExpr {
   /// projects exactly these into the columnar scan.
   const std::vector<size_t>& referenced_slots() const { return slots_; }
 
-  /// Byte-serialized program, the compile-cache key: two statements
-  /// producing identical instruction streams share one entry.
+  /// Byte-serialized program: two statements producing identical
+  /// instruction streams have equal keys (maintained views key on it).
   const std::string& cache_key() const { return key_; }
 
  private:
@@ -273,30 +271,12 @@ class ExprVM {
 storage::Datum BoxRegValue(const ExprVM::Reg& reg, storage::DataType type,
                            size_t r);
 
-/// Process-wide-per-Database compile cache, keyed by the serialized
-/// program. Bounded; overflowing clears it (compiles are per-statement
-/// rare, so the bound only guards runaway schema churn).
-class BytecodeCache {
- public:
-  /// Deduplicates `prog` against the cache: returns the cached twin
-  /// (counting `bytecode.cache_hits`) or inserts it (counting
-  /// `bytecode.compiles`). Thread-safe.
-  CompiledExprPtr Intern(std::shared_ptr<CompiledExpr> prog);
-
-  size_t size() const;
-
- private:
-  static constexpr size_t kMaxEntries = 4096;
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, CompiledExprPtr> cache_;
-};
-
-/// Compiles `expr` to bytecode, interning through `cache` when given.
-/// Returns nullptr — interpreted fallback — when the tree contains a
-/// construct the bytecode cannot express (VARCHAR operands or UDF
-/// results, aggregate refs, mixed-type COALESCE/CASE) or when the
-/// `expr_compile` failpoint is armed.
-CompiledExprPtr CompileExpr(const BoundExpr& expr, BytecodeCache* cache);
+/// Compiles `expr` to bytecode, counting `bytecode.compiles`. Returns
+/// nullptr — interpreted fallback — when the tree contains a construct
+/// the bytecode cannot express (VARCHAR operands or UDF results,
+/// aggregate refs, mixed-type COALESCE/CASE) or when the `expr_compile`
+/// failpoint is armed.
+CompiledExprPtr CompileExpr(const BoundExpr& expr);
 
 }  // namespace nlq::engine::exec
 

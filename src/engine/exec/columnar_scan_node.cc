@@ -146,16 +146,6 @@ class ColumnarScanStream : public ColumnStream {
 
 }  // namespace
 
-ColumnStreamPtr OpenColumnarScanStream(const storage::Table* partition,
-                                       uint64_t begin_row, uint64_t end_row,
-                                       const std::vector<size_t>& slots,
-                                       const std::vector<ColumnFilter>& filters,
-                                       size_t batch_capacity,
-                                       const QueryContext* ctx) {
-  return ColumnStreamPtr(new ColumnarScanStream(
-      partition, begin_row, end_row, slots, filters, batch_capacity, ctx));
-}
-
 ColumnarScanNode::ColumnarScanNode(const storage::PartitionedTable* table,
                                    std::string table_name,
                                    std::vector<size_t> slots,
@@ -201,9 +191,9 @@ StatusOr<ExecStreamPtr> ColumnarScanNode::OpenStreamImpl(size_t) const {
 StatusOr<ColumnStreamPtr> ColumnarScanNode::OpenColumnStreamImpl(
     size_t s) const {
   const Morsel& m = grid_[s];
-  return OpenColumnarScanStream(&table_->partition(m.partition), m.begin,
-                                m.end, slots_, filters_, batch_capacity_,
-                                ctx_);
+  return ColumnStreamPtr(
+      new ColumnarScanStream(&table_->partition(m.partition), m.begin, m.end,
+                             slots_, filters_, batch_capacity_, ctx_));
 }
 
 }  // namespace nlq::engine::exec

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/query_context.h"
@@ -27,22 +28,6 @@ struct ColumnFilter {
   std::string text;             // display form for EXPLAIN
 };
 
-/// The span stream behind one ColumnarScan morsel: rows
-/// [begin_row, end_row) of `partition` walked by a ChunkCursor and
-/// served in batches of at most `batch_capacity` rows whose spans
-/// alias the chunk columns — resident chunks in place, spilled ones
-/// in the cursor's decoded image, no per-batch copy — with `filters`
-/// applied by order-preserving compaction. The maintained-view refresh
-/// drains the same stream over a partition's appended rows, so both
-/// hand their aggregates identical batches. `slots` and `filters` must
-/// outlive the stream.
-ColumnStreamPtr OpenColumnarScanStream(const storage::Table* partition,
-                                       uint64_t begin_row, uint64_t end_row,
-                                       const std::vector<size_t>& slots,
-                                       const std::vector<ColumnFilter>& filters,
-                                       size_t batch_capacity,
-                                       const QueryContext* ctx);
-
 /// Leaf of the columnar pipeline: scans a partitioned table's column
 /// chunks as typed spans (no Datum boxing) and applies pushed-down
 /// simple comparisons by span compaction. With no projected column
@@ -55,7 +40,11 @@ ColumnStreamPtr OpenColumnarScanStream(const storage::Table* partition,
 /// `morsel_rows`), so the row and columnar paths have identical stream
 /// structure and their stream-order merges stay mutually
 /// byte-identical (see tests/columnar_equivalence_test.cc). Opening a
-/// stream touches no shared state, so streams drain in parallel.
+/// stream touches no shared state, so streams drain in parallel. Batch
+/// spans alias the chunk columns (resident chunks in place, spilled
+/// ones in the cursor's decoded image); filters compact them in order.
+/// A maintained view resumes the scan (ResumeAt), so a view-served
+/// statement reads only the appended rows, through these same streams.
 class ColumnarScanNode : public PlanNode {
  public:
   ColumnarScanNode(const storage::PartitionedTable* table,
@@ -73,6 +62,14 @@ class ColumnarScanNode : public PlanNode {
   StatusOr<ExecStreamPtr> OpenStreamImpl(size_t s) const override;
 
   StatusOr<ColumnStreamPtr> OpenColumnStreamImpl(size_t s) const override;
+
+  /// The morsel grid: stream s reads rows [grid()[s].begin,
+  /// grid()[s].end) of partition grid()[s].partition.
+  const std::vector<Morsel>& grid() const { return grid_; }
+
+  /// Replaces the grid by `grid`: the same morsels, each starting at the
+  /// first row a maintained view has not folded yet (ViewRegistry::Take).
+  void ResumeAt(std::vector<Morsel> grid) { grid_ = std::move(grid); }
 
   /// Schema slot indices of the projected columns, in span order.
   const std::vector<size_t>& slots() const { return slots_; }

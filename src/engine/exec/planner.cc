@@ -274,7 +274,7 @@ struct VectorPipeline {
 bool SplitWhereForPipeline(const std::vector<const Expr*>& conjuncts,
                            const BindingScope& scope,
                            const udf::UdfRegistry* registry,
-                           BytecodeCache* cache, VectorPipeline* p) {
+                           VectorPipeline* p) {
   for (size_t i = 1; i < conjuncts.size(); ++i) {
     if (ContainsScalarUdfCall(*conjuncts[i], registry)) return false;
   }
@@ -293,7 +293,7 @@ bool SplitWhereForPipeline(const std::vector<const Expr*>& conjuncts,
   p->where_texts = ConjunctTexts(residual);
   StatusOr<BoundExprPtr> bound = BindConjuncts(residual, scope, registry);
   if (!bound.ok()) return false;
-  p->where_prog = CompileExpr(*bound.value(), cache);
+  p->where_prog = CompileExpr(*bound.value());
   return p->where_prog != nullptr;
 }
 
@@ -329,15 +329,13 @@ void FinishPipeline(const BindingScope& scope, VectorPipeline* p) {
 VectorPipeline TryVectorAggregate(const FromInputs& inputs,
                                   const BindingScope& scope,
                                   const BoundAggregation& agg,
-                                  const udf::UdfRegistry* registry,
-                                  BytecodeCache* cache) {
+                                  const udf::UdfRegistry* registry) {
   VectorPipeline p;
-  if (!SplitWhereForPipeline(inputs.residual_conjuncts, scope, registry, cache,
-                             &p)) {
+  if (!SplitWhereForPipeline(inputs.residual_conjuncts, scope, registry, &p)) {
     return VectorPipeline{};
   }
   for (const BoundExprPtr& key : agg.key_exprs) {
-    CompiledExprPtr prog = CompileExpr(*key, cache);
+    CompiledExprPtr prog = CompileExpr(*key);
     if (prog == nullptr) return VectorPipeline{};
     p.key_progs.push_back(std::move(prog));
   }
@@ -360,7 +358,7 @@ VectorPipeline TryVectorAggregate(const FromInputs& inputs,
       return VectorPipeline{};
     }
     for (; a < spec.args.size(); ++a) {
-      CompiledExprPtr prog = CompileExpr(*spec.args[a], cache);
+      CompiledExprPtr prog = CompileExpr(*spec.args[a]);
       if (prog == nullptr) return VectorPipeline{};
       vs.progs.push_back(std::move(prog));
     }
@@ -373,7 +371,11 @@ VectorPipeline TryVectorAggregate(const FromInputs& inputs,
 /// True for the global n,L,Q shape a maintained view serves: no GROUP
 /// BY, HAVING or residual WHERE program (every conjunct was pushed into
 /// the scan), and every aggregate argument a bare column after an
-/// aggregate UDF's literal prefix, with UDFs that take spans.
+/// aggregate UDF's literal prefix, with UDFs that take spans. A view is
+/// served by the node's own scan, so this is policy only: a residual
+/// WHERE or expression arguments would be served right too, but each
+/// new literal (an iterative client's centroids) would then seed an
+/// entry and evict the others; widening it needs an admission rule.
 bool ViewShaped(const BoundAggregation& agg, bool has_having,
                 const VectorPipeline& p) {
   if (!agg.key_exprs.empty() || has_having || p.where_prog != nullptr) {
@@ -399,15 +401,13 @@ bool ViewShaped(const BoundAggregation& agg, bool has_having,
 VectorPipeline TryVectorProjection(const FromInputs& inputs,
                                    const BindingScope& scope,
                                    const std::vector<BoundExprPtr>& bound,
-                                   const udf::UdfRegistry* registry,
-                                   BytecodeCache* cache) {
+                                   const udf::UdfRegistry* registry) {
   VectorPipeline p;
-  if (!SplitWhereForPipeline(inputs.residual_conjuncts, scope, registry, cache,
-                             &p)) {
+  if (!SplitWhereForPipeline(inputs.residual_conjuncts, scope, registry, &p)) {
     return VectorPipeline{};
   }
   for (const BoundExprPtr& expr : bound) {
-    CompiledExprPtr prog = CompileExpr(*expr, cache);
+    CompiledExprPtr prog = CompileExpr(*expr);
     if (prog == nullptr) return VectorPipeline{};
     p.proj_progs.push_back(std::move(prog));
   }
@@ -456,7 +456,7 @@ std::string BroadcastNote(const SelectStatement& select,
 Planner::Planner(storage::Catalog* catalog, const udf::UdfRegistry* registry,
                  ThreadPool* pool, size_t batch_capacity, uint64_t morsel_rows,
                  const QueryContext* ctx, bool enable_expr_compile,
-                 BytecodeCache* bytecode_cache, ViewRegistry* views)
+                 ViewRegistry* views)
     : catalog_(catalog),
       registry_(registry),
       pool_(pool),
@@ -464,7 +464,6 @@ Planner::Planner(storage::Catalog* catalog, const udf::UdfRegistry* registry,
       morsel_rows_(morsel_rows),
       ctx_(ctx),
       enable_expr_compile_(enable_expr_compile),
-      bytecode_cache_(bytecode_cache),
       views_(views) {}
 
 StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
@@ -531,11 +530,13 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
   // Columnar input: ColumnarScan (simple comparisons pushed into it,
   // broadcast tables named on it), then the remaining WHERE conjuncts
   // as one compiled VectorFilter program.
+  ColumnarScanNode* columnar_scan = nullptr;
   auto columnar_input = [&](VectorPipeline* vp) -> PlanNodePtr {
     auto scan = std::make_unique<ColumnarScanNode>(
         inputs.driver, select.from[0].table_name, std::move(vp->slots),
         std::move(vp->scan_filters), batch_capacity_, morsel_rows_, ctx_);
     if (broadcast) scan->set_broadcast_note(BroadcastNote(select, inputs));
+    columnar_scan = scan.get();
     PlanNodePtr node = std::move(scan);
     if (vp->where_prog != nullptr) {
       node = std::make_unique<VectorFilterNode>(
@@ -567,7 +568,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
         BindAggregation(select_exprs, group_by, scope, registry_));
     VectorPipeline vp;
     if (pipeline) {
-      vp = TryVectorAggregate(inputs, scope, agg, registry_, bytecode_cache_);
+      vp = TryVectorAggregate(inputs, scope, agg, registry_);
     }
     for (size_t i = 0; i < select.items.size(); ++i) {
       out_cols.push_back({ResultColumnName(select.items[i], i),
@@ -578,7 +579,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
       // compiled over span batches.
       //
       // Maintained-view decision (DESIGN.md §13): a global n,L,Q
-      // aggregate with relocatable states is served from registered
+      // aggregate with relocatable states resumes its scan from stored
       // per-morsel partials, whether its partitions are resident,
       // spilled or spilled with a resident tail. Grouped n,L,Q
       // aggregates stay unmaintained: hash-table output ordering is not
@@ -591,10 +592,8 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
         } else {
           view.table = inputs.driver;
           view.table_name = select.from[0].table_name;
-          view.slots = vp.slots;
-          view.filters = vp.scan_filters;
-          view.morsel_rows = morsel_rows_;
-          view.batch_capacity = batch_capacity_;
+          view.key = ViewKey(view.table_name, vp.slots, vp.scan_filters,
+                             agg.specs, vp.spec_args, morsel_rows_);
         }
       } else if (views_ != nullptr && !agg.key_exprs.empty()) {
         for (const AggregateSpec& spec : agg.specs) {
@@ -610,7 +609,11 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
           has_having ? select.having->ToString() : std::string(),
           select.items.size(), pool_, ctx_);
       vagg->set_view_note(std::move(view_note));
-      if (view.table != nullptr) vagg->UseView(views_, std::move(view));
+      if (view.table != nullptr) {
+        // A view-shaped statement has no VectorFilter: the scan is the
+        // aggregate's child.
+        vagg->UseView(views_, std::move(view), columnar_scan);
+      }
       node = std::move(vagg);
     } else {
       node = std::make_unique<HashAggregateNode>(
@@ -635,8 +638,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const SelectStatement& select) const {
     }
     VectorPipeline vp;
     if (pipeline) {
-      vp = TryVectorProjection(inputs, scope, projections, registry_,
-                               bytecode_cache_);
+      vp = TryVectorProjection(inputs, scope, projections, registry_);
     }
     if (vp.eligible) {
       // General columnar pipeline: projections (and non-pushable WHERE

@@ -7,7 +7,6 @@
 #include "common/status.h"
 #include "common/threadpool.h"
 #include "engine/ast.h"
-#include "engine/exec/bytecode.h"
 #include "engine/exec/morsel.h"
 #include "engine/exec/plan.h"
 #include "storage/catalog.h"
@@ -52,7 +51,7 @@ struct PhysicalPlan {
 /// ANDed into one compiled VectorFilter program. VectorHashAggregate
 /// is the one columnar aggregate operator: grouped or global (the
 /// paper's n,L,Q summary queries, whose span-capable UDFs take whole
-/// batches), and — with view maintenance on — serving eligible global
+/// batches), and — with view maintenance on — resuming eligible global
 /// aggregates from the maintained-view registry. The interpreted row
 /// path serves cross joins against tables of 0 or >= 2 rows, VARCHAR
 /// expressions, `SELECT *` and scalar UDF calls in lazily evaluated
@@ -70,19 +69,16 @@ class Planner {
   /// `enable_expr_compile` gates every vectorized choice (the columnar
   /// pipeline and broadcasting one-row tables): off plans the pure
   /// interpreted row path, the differential oracle.
-  /// `bytecode_cache` — optional — deduplicates compiled programs
-  /// across statements; it must outlive the plan.
   /// `views` — optional — is the maintained-view registry: when set,
-  /// eligible global n,L,Q aggregates are served from (and
-  /// incrementally refresh) materialized per-morsel partials instead
-  /// of rescanning; it must outlive the plan.
+  /// an eligible global n,L,Q aggregate takes its stored per-morsel
+  /// partials at plan time, and its scan reads only the rows past them;
+  /// it must outlive the plan.
   Planner(storage::Catalog* catalog, const udf::UdfRegistry* registry,
           ThreadPool* pool,
           size_t batch_capacity = RowBatch::kDefaultCapacity,
           uint64_t morsel_rows = kDefaultMorselRows,
           const QueryContext* ctx = nullptr,
           bool enable_expr_compile = true,
-          BytecodeCache* bytecode_cache = nullptr,
           ViewRegistry* views = nullptr);
 
   StatusOr<PhysicalPlan> Plan(const SelectStatement& select) const;
@@ -95,7 +91,6 @@ class Planner {
   uint64_t morsel_rows_;
   const QueryContext* ctx_;
   bool enable_expr_compile_;
-  BytecodeCache* bytecode_cache_;
   ViewRegistry* views_;
 };
 

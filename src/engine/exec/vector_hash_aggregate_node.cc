@@ -1,5 +1,6 @@
 #include "engine/exec/vector_hash_aggregate_node.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -124,6 +125,15 @@ VectorHashAggregateNode::VectorHashAggregateNode(
       pool_(pool),
       ctx_(ctx) {}
 
+VectorHashAggregateNode::~VectorHashAggregateNode() {
+  if (!lease_.has_value()) return;
+  const auto& taken = lease_->taken;
+  if (std::any_of(taken.begin(), taken.end(),
+                  [](const auto& state) { return state != nullptr; })) {
+    views_->Store(view_, std::move(*lease_));
+  }
+}
+
 std::string VectorHashAggregateNode::annotation() const {
   std::string out =
       StringPrintf("%zu group key(s), %zu aggregate(s)",
@@ -155,56 +165,43 @@ StatusOr<ExecStreamPtr> VectorHashAggregateNode::OpenStreamImpl(size_t) const {
   return ExecStreamPtr(new VectorAggregateStream(this));
 }
 
-void VectorHashAggregateNode::UseView(ViewRegistry* views, ViewDescriptor d) {
-  d.specs = &agg_.specs;
-  d.args = &spec_args_;
-  d.slot_to_col = &slot_to_col_;
-  const ViewProbe probe = views->Probe(d);
-  if (probe.invalidated) {
+void VectorHashAggregateNode::UseView(ViewRegistry* views, ViewDescriptor d,
+                                      ColumnarScanNode* scan) {
+  ViewLease lease = views->Take(d, scan->grid());
+  if (lease.invalidated) {
     view_note_ = "view=stale";
     return;
   }
   view_note_ =
-      probe.registered
+      lease.registered
           ? StringPrintf("view=fresh delta=%llu of %llu row(s)",
-                         static_cast<unsigned long long>(probe.delta_rows),
-                         static_cast<unsigned long long>(probe.total_rows))
+                         static_cast<unsigned long long>(lease.delta_rows),
+                         static_cast<unsigned long long>(lease.total_rows))
           : StringPrintf("view=stale (seeding %llu row(s))",
-                         static_cast<unsigned long long>(probe.total_rows));
+                         static_cast<unsigned long long>(lease.total_rows));
+  scan->ResumeAt(lease.grid);
   views_ = views;
   view_ = std::move(d);
+  lease_ = std::move(lease);
 }
 
 StatusOr<std::vector<Row>> VectorHashAggregateNode::Compute() const {
-  if (views_ == nullptr) return Scan();
-  StatusOr<Row> aggs = views_->Serve(view_, pool_, ctx_);
-  if (aggs.ok()) {
-    std::vector<Row> rows;
-    NLQ_RETURN_IF_ERROR(
-        EmitGroup(agg_, has_having_, num_output_, Row{}, *aggs, &rows));
-    return rows;
-  }
-  const StatusCode code = aggs.status().code();
-  if (code == StatusCode::kCancelled || code == StatusCode::kDeadlineExceeded) {
-    return aggs.status();
-  }
-  // Degrade, never lie: the registry dropped the entry; this statement
-  // runs the node's own scan (counted as a rebuild) and the next one
-  // reseeds.
-  if (ctx_ != nullptr && ctx_->stats() != nullptr) {
-    ctx_->stats()->view_misses.fetch_add(1, std::memory_order_relaxed);
-    ctx_->stats()->view_rebuilds.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Scan();
-}
-
-StatusOr<std::vector<Row>> VectorHashAggregateNode::Scan() const {
+  std::optional<ViewLease> lease = std::move(lease_);
+  lease_.reset();
   // ROW phase: one hash table per columnar stream, drained in
   // parallel. On failure `partials` is destroyed whole — every partial
-  // group state (and its UDF heap segments) is torn down with it.
+  // group state (and its UDF heap segments) is torn down with it. With
+  // a view, a morsel its stored partial covers is not opened, and one
+  // it covers in part continues that partial.
   const size_t streams = child_->num_streams();
   std::vector<GroupMap> partials(streams);
   auto drain_one = [&](size_t s) -> Status {
+    if (lease.has_value()) {
+      if (lease->grid[s].rows() == 0) return Status::OK();
+      if (lease->taken[s] != nullptr) {
+        partials[s].emplace(Row{}, std::move(*lease->taken[s]));
+      }
+    }
     return AccumulateColumnStream(*child_, s, agg_, key_progs_, spec_args_,
                                   slot_to_col_, ctx_, &partials[s]);
   };
@@ -218,8 +215,52 @@ StatusOr<std::vector<Row>> VectorHashAggregateNode::Scan() const {
   // grid depends only on the partition layout, so results are
   // bit-identical across thread counts (and match the row path, which
   // folds the same grid the same way).
+  if (lease.has_value()) return MergeAndStore(std::move(*lease), &partials);
   return MergeAndFinalize(agg_, has_having_, num_output_, &partials,
                           ctx_ != nullptr ? ctx_->memory() : nullptr);
+}
+
+StatusOr<std::vector<Row>> VectorHashAggregateNode::MergeAndStore(
+    ViewLease lease, std::vector<GroupMap>* partials) const {
+  // Every morsel's partial after the ROW phase: what its stream
+  // accumulated (null when no row reached it), or the stored one for a
+  // morsel that was not opened. A scanned morsel's partial now reaches
+  // the morsel's end.
+  const size_t streams = partials->size();
+  std::vector<const AggState*> merged(streams);
+  for (size_t s = 0; s < streams; ++s) {
+    Morsel& morsel = lease.grid[s];
+    if (morsel.rows() == 0) {
+      merged[s] = lease.stored[s].get();
+      continue;
+    }
+    GroupMap& groups = (*partials)[s];
+    lease.taken[s] =
+        groups.empty()
+            ? nullptr
+            : std::make_shared<AggState>(std::move(groups.begin()->second));
+    merged[s] = lease.taken[s].get();
+    morsel.begin = morsel.end;
+  }
+  NLQ_ASSIGN_OR_RETURN(
+      std::vector<Row> rows,
+      MergeAndFinalize(agg_, has_having_, num_output_, merged,
+                       ctx_ != nullptr ? ctx_->memory() : nullptr));
+  // Only a statement that succeeded stores.
+  if (ctx_ != nullptr) NLQ_RETURN_IF_ERROR(ctx_->CheckAlive());
+  if (ctx_ != nullptr && ctx_->stats() != nullptr) {
+    QueryStats* stats = ctx_->stats();
+    if (lease.registered) {
+      stats->view_hits.fetch_add(1, std::memory_order_relaxed);
+      stats->view_delta_rows.fetch_add(lease.delta_rows,
+                                       std::memory_order_relaxed);
+    } else {
+      stats->view_misses.fetch_add(1, std::memory_order_relaxed);
+      stats->view_rebuilds.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  views_->Store(view_, std::move(lease));
+  return rows;
 }
 
 }  // namespace nlq::engine::exec

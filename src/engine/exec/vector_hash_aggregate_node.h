@@ -1,6 +1,7 @@
 #ifndef NLQ_ENGINE_EXEC_VECTOR_HASH_AGGREGATE_NODE_H_
 #define NLQ_ENGINE_EXEC_VECTOR_HASH_AGGREGATE_NODE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "common/threadpool.h"
 #include "engine/exec/aggregate_state.h"
 #include "engine/exec/bytecode.h"
+#include "engine/exec/columnar_scan_node.h"
 #include "engine/exec/plan.h"
 #include "engine/exec/view_registry.h"
 #include "engine/expr.h"
@@ -27,9 +29,13 @@ namespace nlq::engine::exec {
 /// With keys, such a UDF takes one AccumulateSpans call per group of
 /// each batch, its rows gathered in row order (the per-segment models
 /// of the paper's Table 5 and the K-means step).
-/// A planner-attached maintained view (UseView) serves a global
-/// statement from the ViewRegistry instead; when serving fails the
-/// node degrades to its own scan.
+/// A planner-attached maintained view (UseView) resumes this same scan:
+/// the registry holds the node's per-morsel partials from earlier
+/// statements, each morsel's stream opens at the row its partial
+/// reaches (a covered morsel is not opened), the ROW phase continues
+/// the partial, MERGE + FINALIZE read every partial in place in grid
+/// order, and the extended partials are stored back. The answer always
+/// comes from this scan; storing is best effort.
 ///
 /// Bit-exactness with the row path holds because (a) group-key Datums
 /// are boxed from the same arithmetic the interpreter performs, (b)
@@ -48,21 +54,27 @@ class VectorHashAggregateNode : public PlanNode {
                           std::string having_text, size_t num_output,
                           ThreadPool* pool, const QueryContext* ctx = nullptr);
 
+  /// A plan that never ran (EXPLAIN) gives back the partials its view
+  /// took to extend.
+  ~VectorHashAggregateNode() override;
+
   const char* name() const override { return "VectorHashAggregate"; }
   std::string annotation() const override;
   size_t output_width() const override { return num_output_; }
   size_t num_streams() const override { return 1; }
   StatusOr<ExecStreamPtr> OpenStreamImpl(size_t s) const override;
 
-  /// Runs the four phases to completion and returns the result rows.
+  /// Runs the four phases to completion and returns the result rows;
+  /// with a view, stores the extended partials.
   StatusOr<std::vector<storage::Row>> Compute() const;
 
-  /// Serves this global aggregate from the maintained view `d` keys in
-  /// `views` (the node fills in d's aggregation). Probes the registry
-  /// for the EXPLAIN note; a probe that finds a stale entry (dropped
-  /// now) leaves this statement on the node's own scan, annotated
-  /// `view=stale`, and the next statement reseeds.
-  void UseView(ViewRegistry* views, ViewDescriptor d);
+  /// Maintains this global aggregate as the view `d` in `views`: takes
+  /// the entry (the statement's one registry lookup), sets the EXPLAIN
+  /// note, and resumes `scan` — this node's ColumnarScan child — at the
+  /// rows the stored partials reach. A stale entry (dropped now) leaves
+  /// this statement unmaintained, annotated `view=stale`, and the next
+  /// statement reseeds.
+  void UseView(ViewRegistry* views, ViewDescriptor d, ColumnarScanNode* scan);
 
   /// EXPLAIN view annotation (e.g. "view=ineligible (group-by)") set
   /// only when the planner runs with view maintenance enabled; empty
@@ -70,8 +82,10 @@ class VectorHashAggregateNode : public PlanNode {
   void set_view_note(std::string note) { view_note_ = std::move(note); }
 
  private:
-  /// ROW + MERGE + FINALIZE over the node's own scan.
-  StatusOr<std::vector<storage::Row>> Scan() const;
+  /// MERGE + FINALIZE of a maintained view: folds every morsel's
+  /// partial in place and stores the ones this statement scanned.
+  StatusOr<std::vector<storage::Row>> MergeAndStore(
+      ViewLease lease, std::vector<GroupMap>* partials) const;
 
   BoundAggregation agg_;
   std::vector<CompiledExprPtr> key_progs_;
@@ -82,8 +96,11 @@ class VectorHashAggregateNode : public PlanNode {
   size_t num_output_;
   ThreadPool* pool_;
   const QueryContext* ctx_;
-  ViewRegistry* views_ = nullptr;  // non-null: serve from view_
+  ViewRegistry* views_ = nullptr;  // non-null: maintain view_
   ViewDescriptor view_;
+  /// The view's partials, consumed by the one Compute: the ones the
+  /// statement extends leave the plan with it.
+  mutable std::optional<ViewLease> lease_;
   std::string view_note_;
 };
 

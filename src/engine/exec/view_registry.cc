@@ -1,6 +1,5 @@
 #include "engine/exec/view_registry.h"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -12,7 +11,6 @@ namespace {
 
 using storage::DataType;
 using storage::Datum;
-using storage::Row;
 
 void AppendDoubleBits(double v, std::string* out) {
   uint64_t bits = 0;
@@ -38,63 +36,59 @@ void AppendDatumKey(const Datum& v, std::string* out) {
   }
 }
 
-/// Accumulates rows [begin, end) of `part` into `state` by draining the
-/// very span stream a ColumnarScan morsel uses (same batches, same
-/// filter compaction, fully-filtered batches skipped), feeding each
-/// batch to the aggregate node's own ROW phase. Identical batches ⇒
-/// identical FP operation sequence ⇒ identical bits.
-Status AccumulateRange(const storage::Table& part, const ViewDescriptor& d,
-                       AggState* state, uint64_t begin, uint64_t end,
-                       const QueryContext* ctx, SpanScratch* scratch) {
+/// The `view_maintenance` failpoint, guarding a take and a store.
+Status InjectedFault() {
   NLQ_FAILPOINT("view_maintenance");
-  ColumnStreamPtr stream = OpenColumnarScanStream(
-      &part, begin, end, d.slots, d.filters, d.batch_capacity, ctx);
-  ColumnSpanBatch span;
-  for (;;) {
-    NLQ_ASSIGN_OR_RETURN(const bool more, stream->Next(&span));
-    if (!more) return Status::OK();
-    NLQ_RETURN_IF_ERROR(AccumulateSpanBatch(*d.specs, *d.args, *d.slot_to_col,
-                                            span, state, scratch));
-  }
+  return Status::OK();
+}
+
+/// Index of grid morsel `s` within its partition, given the previous
+/// morsel's (the grid lists each partition's morsels in row order).
+size_t MorselIndex(const std::vector<Morsel>& grid, size_t s, size_t prev) {
+  return s > 0 && grid[s - 1].partition == grid[s].partition ? prev + 1 : 0;
 }
 
 }  // namespace
 
-ViewRegistry::ViewRegistry(size_t max_views, uint64_t memory_limit_bytes)
-    : max_views_(max_views), memory_(memory_limit_bytes) {}
-
-std::string ViewRegistry::KeyOf(const ViewDescriptor& d) {
-  std::string key = d.table_name;
+std::string ViewKey(const std::string& table_name,
+                    const std::vector<size_t>& slots,
+                    const std::vector<ColumnFilter>& filters,
+                    const std::vector<AggregateSpec>& specs,
+                    const std::vector<VectorAggSpec>& args,
+                    uint64_t morsel_rows) {
+  std::string key = table_name;
   key += "|s:";
-  for (const size_t slot : d.slots) key += StringPrintf("%zu,", slot);
+  for (const size_t slot : slots) key += StringPrintf("%zu,", slot);
   key += "|f:";
-  for (const ColumnFilter& f : d.filters) {
+  for (const ColumnFilter& f : filters) {
     key += StringPrintf("%zu~%d~", f.col, static_cast<int>(f.op));
     AppendDoubleBits(f.value, &key);
     key += ";";
   }
   key += "|a:";
-  for (size_t i = 0; i < d.specs->size(); ++i) {
-    const AggregateSpec& spec = (*d.specs)[i];
-    const VectorAggSpec& args = (*d.args)[i];
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const AggregateSpec& spec = specs[i];
     key += StringPrintf("%d:", static_cast<int>(spec.kind));
     if (spec.udaf != nullptr) key += spec.udaf->name();
     key += "(";
-    for (const Datum& c : args.const_args) {
+    for (const Datum& c : args[i].const_args) {
       AppendDatumKey(c, &key);
       key += ",";
     }
     key += ")";
-    for (const CompiledExprPtr& prog : args.progs) {
+    for (const CompiledExprPtr& prog : args[i].progs) {
       // Length-prefixed: the serialized program is binary.
       key += StringPrintf("%zu:", prog->cache_key().size());
       key += prog->cache_key();
     }
     key += StringPrintf("%d;", static_cast<int>(spec.result_type));
   }
-  key += StringPrintf("|m:%llu", static_cast<unsigned long long>(d.morsel_rows));
+  key += StringPrintf("|m:%llu", static_cast<unsigned long long>(morsel_rows));
   return key;
 }
+
+ViewRegistry::ViewRegistry(size_t max_views, uint64_t memory_limit_bytes)
+    : max_views_(max_views), memory_(memory_limit_bytes) {}
 
 bool ViewRegistry::EntryCurrent(const Entry& e, const ViewDescriptor& d) {
   if (e.table != d.table) return false;  // DROP + CREATE reused the name
@@ -103,162 +97,100 @@ bool ViewRegistry::EntryCurrent(const Entry& e, const ViewDescriptor& d) {
   for (size_t p = 0; p < parts; ++p) {
     const storage::Table& part = d.table->partition(p);
     if (part.mutation_epoch() != e.epochs[p]) return false;
-    if (part.num_rows() < e.watermarks[p]) return false;
+    const std::vector<Partial>& plist = e.partials[p];
+    if (!plist.empty() && part.num_rows() < plist.back().row) return false;
   }
   return true;
 }
 
-ViewProbe ViewRegistry::Probe(const ViewDescriptor& d) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ViewProbe probe;
-  probe.total_rows = d.table->num_rows();
-  auto it = views_.find(KeyOf(d));
-  if (it == views_.end()) return probe;
-  if (!EntryCurrent(*it->second, d)) {
-    // Stale state can never be reused; drop it now so the next
-    // statement re-seeds instead of re-probing a corpse.
-    views_.erase(it);
-    probe.invalidated = true;
-    return probe;
-  }
-  probe.registered = true;
+ViewLease ViewRegistry::Take(const ViewDescriptor& d,
+                             std::vector<Morsel> grid) {
+  ViewLease lease;
+  lease.total_rows = d.table->num_rows();
   for (size_t p = 0; p < d.table->num_partitions(); ++p) {
-    probe.delta_rows +=
-        d.table->partition(p).num_rows() - it->second->watermarks[p];
+    lease.epochs.push_back(d.table->partition(p).mutation_epoch());
   }
-  return probe;
-}
-
-Status ViewRegistry::AccumulateDeltas(Entry* e, const ViewDescriptor& d,
-                                      ThreadPool* pool,
-                                      const QueryContext* ctx,
-                                      uint64_t* delta_rows) {
-  const size_t parts = d.table->num_partitions();
-  uint64_t delta = 0;
-  for (size_t p = 0; p < parts; ++p) {
-    delta += d.table->partition(p).num_rows() - e->watermarks[p];
-  }
-  *delta_rows = delta;
-
-  auto refresh_one = [&](size_t p) -> Status {
-    const storage::Table& part = d.table->partition(p);
-    const uint64_t cur = part.num_rows();
-    uint64_t wm = e->watermarks[p];
-    if (cur == wm) return Status::OK();
-    const uint64_t mr = d.morsel_rows;
-    auto& plist = e->partials[p];
-    SpanScratch scratch(ctx);
-    while (wm < cur) {
-      // The morsel the watermark sits in: extend its partial from the
-      // watermark to the morsel end (or table end). Morsel boundaries
-      // come from the fixed (partition, offset) grid, so the stored
-      // partials line up one-to-one with the full-rescan grid; the
-      // kernel's strictly sequential per-accumulator chains make
-      // resuming mid-morsel bit-identical to one uninterrupted pass.
-      const size_t mi = mr == 0 ? 0 : static_cast<size_t>(wm / mr);
-      const uint64_t mend =
-          mr == 0 ? cur
-                  : std::min(cur, (static_cast<uint64_t>(mi) + 1) * mr);
-      if (mi >= plist.size()) {
-        plist.push_back(std::make_unique<AggState>());
-        NLQ_RETURN_IF_ERROR(
-            InitAggState(*d.specs, &memory_, plist.back().get()));
+  lease.stored.resize(grid.size());
+  lease.taken.resize(grid.size());
+  lease.grid = std::move(grid);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = views_.find(d.key);
+    if (it != views_.end()) {
+      if (!EntryCurrent(*it->second, d)) {
+        // Stale state can never be reused; drop it now so the next
+        // statement reseeds instead of re-probing a corpse.
+        views_.erase(it);
+        lease.invalidated = true;
+      } else if (!InjectedFault().ok()) {
+        views_.erase(it);
+      } else {
+        lease.registered = true;
+        Entry& e = *it->second;
+        size_t m = 0;
+        for (size_t s = 0; s < lease.grid.size(); ++s) {
+          Morsel& morsel = lease.grid[s];
+          m = MorselIndex(lease.grid, s, m);
+          std::vector<Partial>& plist = e.partials[morsel.partition];
+          // Below the morsel's first row: a slot no store has filled.
+          if (m >= plist.size() || plist[m].row < morsel.begin) continue;
+          Partial& slot = plist[m];
+          const uint64_t first = morsel.begin;
+          morsel.begin = slot.row;
+          if (morsel.begin == morsel.end) {
+            lease.stored[s] = slot.state;
+          } else if (slot.state != nullptr) {
+            // Until Store, the entry holds nothing for this morsel.
+            lease.taken[s] = std::move(slot.state);
+            slot.row = first;
+          }
+        }
       }
-      NLQ_RETURN_IF_ERROR(
-          AccumulateRange(part, d, plist[mi].get(), wm, mend, ctx, &scratch));
-      wm = mend;
-    }
-    e->watermarks[p] = cur;
-    return Status::OK();
-  };
-
-  if (parts == 1 || pool == nullptr) {
-    for (size_t p = 0; p < parts; ++p) NLQ_RETURN_IF_ERROR(refresh_one(p));
-    return Status::OK();
-  }
-  return pool->ParallelFor(parts, refresh_one, ctx);
-}
-
-StatusOr<Row> ViewRegistry::FoldAndFinalize(const Entry& e,
-                                             const ViewDescriptor& d) {
-  // Fold a CLONE of the stored partials (never the stored state
-  // itself: merging mutates the destination, and the registered
-  // partials must survive for the next refresh). Clone-then-merge
-  // replays the rescan's fold arithmetic exactly: the accumulator
-  // starts as a byte copy of the first grid morsel's state, then the
-  // remaining morsels fold in morsel-index order.
-  AggState acc;
-  bool have_first = false;
-  for (const auto& plist : e.partials) {
-    for (const auto& pm : plist) {
-      if (!have_first) {
-        NLQ_RETURN_IF_ERROR(
-            CloneAggState(*d.specs, /*memory=*/nullptr, *pm, &acc));
-        have_first = true;
-        continue;
-      }
-      NLQ_RETURN_IF_ERROR(MergeAggState(*d.specs, *pm, &acc));
     }
   }
-  if (!have_first) {
-    // Empty table: the rescan finalizes one freshly Init-ed global
-    // group; replicate it.
-    NLQ_RETURN_IF_ERROR(InitAggState(*d.specs, /*memory=*/nullptr, &acc));
-  }
-  return FinalizeAggState(*d.specs, acc);
+  for (const Morsel& morsel : lease.grid) lease.delta_rows += morsel.rows();
+  return lease;
 }
 
-StatusOr<Row> ViewRegistry::Serve(const ViewDescriptor& d, ThreadPool* pool,
-                                  const QueryContext* ctx) {
+void ViewRegistry::Store(const ViewDescriptor& d, ViewLease lease) {
   std::lock_guard<std::mutex> lock(mu_);
-  QueryStats* stats = ctx != nullptr ? ctx->stats() : nullptr;
-  const std::string key = KeyOf(d);
+  if (!StoreLocked(d, &lease).ok()) views_.erase(d.key);
+}
 
-  auto it = views_.find(key);
-  if (it != views_.end() && !EntryCurrent(*it->second, d)) {
-    views_.erase(it);
-    it = views_.end();
-  }
-  const bool seeded = it == views_.end();
+Status ViewRegistry::StoreLocked(const ViewDescriptor& d, ViewLease* lease) {
+  NLQ_RETURN_IF_ERROR(InjectedFault());
+  std::unique_ptr<Entry>& e = views_[d.key];
+  const bool seeded =
+      e == nullptr || e->table != d.table || e->epochs != lease->epochs;
   if (seeded) {
-    auto entry = std::make_unique<Entry>();
-    entry->table = d.table;
-    entry->table_name = d.table_name;
-    const size_t parts = d.table->num_partitions();
-    entry->epochs.resize(parts);
-    entry->watermarks.assign(parts, 0);
-    entry->partials.resize(parts);
-    for (size_t p = 0; p < parts; ++p) {
-      entry->epochs[p] = d.table->partition(p).mutation_epoch();
+    e = std::make_unique<Entry>();
+    e->table = d.table;
+    e->table_name = d.table_name;
+    e->epochs = lease->epochs;
+    e->partials.resize(lease->epochs.size());
+  }
+  e->last_served = ++lru_tick_;
+  size_t m = 0;
+  for (size_t s = 0; s < lease->grid.size(); ++s) {
+    const Morsel& morsel = lease->grid[s];
+    m = MorselIndex(lease->grid, s, m);
+    if (lease->stored[s] != nullptr) continue;  // read in place: unchanged
+    std::shared_ptr<AggState>& state = lease->taken[s];
+    if (state != nullptr) {
+      for (const auto& heap : state->heaps) {
+        if (heap != nullptr) NLQ_RETURN_IF_ERROR(heap->MoveCharge(&memory_));
+      }
     }
-    it = views_.emplace(key, std::move(entry)).first;
-  }
-  it->second->last_served = ++lru_tick_;
-
-  uint64_t delta_rows = 0;
-  Status status =
-      AccumulateDeltas(it->second.get(), d, pool, ctx, &delta_rows);
-  StatusOr<Row> row = status.ok() ? FoldAndFinalize(*it->second, d)
-                                  : StatusOr<Row>(status);
-  if (!row.ok()) {
-    // A half-applied delta leaves the stored partials unusable: drop
-    // the entry; the caller degrades (or unwinds on cancellation).
-    views_.erase(it);
-    return row.status();
-  }
-
-  if (stats != nullptr) {
-    if (seeded) {
-      stats->view_misses.fetch_add(1, std::memory_order_relaxed);
-      stats->view_rebuilds.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      stats->view_hits.fetch_add(1, std::memory_order_relaxed);
-      stats->view_delta_rows.fetch_add(delta_rows,
-                                       std::memory_order_relaxed);
+    // A concurrent statement over the same rows may have stored first;
+    // either partial is exact for its rows, so keep the further one.
+    std::vector<Partial>& plist = e->partials[morsel.partition];
+    if (plist.size() <= m) plist.resize(m + 1);
+    if (plist[m].row <= morsel.begin) {
+      plist[m] = {std::move(state), morsel.begin};
     }
   }
   if (seeded) EvictIfNeeded();
-  return row;
+  return Status::OK();
 }
 
 void ViewRegistry::InvalidateTable(const std::string& table_name) {

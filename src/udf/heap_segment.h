@@ -48,6 +48,20 @@ class HeapSegment {
     return segment;
   }
 
+  /// Moves the segment's charge to `tracker` (nullptr = untracked): a
+  /// state built under a statement's budget and kept under another (a
+  /// maintained view stores it). On kResourceExhausted the charge stays
+  /// where it was.
+  Status MoveCharge(MemoryTracker* tracker) {
+    if (tracker == tracker_) return Status::OK();
+    if (tracker != nullptr) {
+      NLQ_RETURN_IF_ERROR(tracker->Charge(capacity_, "UDF heap segment"));
+    }
+    if (tracker_ != nullptr) tracker_->Release(capacity_);
+    tracker_ = tracker;
+    return Status::OK();
+  }
+
   size_t capacity() const { return capacity_; }
   size_t used() const { return used_; }
   size_t remaining() const { return capacity_ - used_; }
@@ -78,7 +92,8 @@ class HeapSegment {
   size_t capacity_;
   size_t used_ = 0;
   std::unique_ptr<char[]> buffer_;
-  MemoryTracker* tracker_ = nullptr;  // set by Create; released in dtor
+  MemoryTracker* tracker_ = nullptr;  // set by Create or MoveCharge;
+                                      // released in dtor
 };
 
 }  // namespace nlq::udf

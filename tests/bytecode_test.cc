@@ -73,7 +73,7 @@ class BytecodeTest : public ::testing::Test {
 
   CompiledExprPtr Compile(const std::string& text) {
     BoundExprPtr bound = Bind(text);
-    return bound ? CompileExpr(*bound, /*cache=*/nullptr) : nullptr;
+    return bound ? CompileExpr(*bound) : nullptr;
   }
 
   /// Asserts two Datums are indistinguishable, comparing doubles by bit
@@ -102,7 +102,7 @@ class BytecodeTest : public ::testing::Test {
     SCOPED_TRACE(text);
     BoundExprPtr bound = Bind(text);
     ASSERT_NE(bound, nullptr);
-    CompiledExprPtr prog = CompileExpr(*bound, /*cache=*/nullptr);
+    CompiledExprPtr prog = CompileExpr(*bound);
     ASSERT_NE(prog, nullptr) << "expected \"" << text << "\" to compile";
 
     const size_t n = rows_.size();
@@ -536,7 +536,7 @@ TEST_F(CallTest, VarcharResultsDoNotCompileAndMismatchesFail) {
   // result-type rule: an Internal error on both paths.
   BoundExprPtr bound = Bind("probe_str(x)");
   ASSERT_NE(bound, nullptr);
-  CompiledExprPtr prog = CompileExpr(*bound, nullptr);
+  CompiledExprPtr prog = CompileExpr(*bound);
   ASSERT_NE(prog, nullptr);
   Status error;
   EvalContext ctx;
@@ -631,48 +631,24 @@ TEST_F(BytecodeTest, UncompilableConstructsFallBackToInterpreter) {
 }
 
 // ---------------------------------------------------------------------------
-// Compile cache: dedup by serialized program, process counters
+// Program keys and the compile counter
 // ---------------------------------------------------------------------------
 
-TEST_F(BytecodeTest, CacheDeduplicatesIdenticalProgramsAndCounts) {
-  auto& compiles = MetricsRegistry::Global().counter("bytecode.compiles");
-  auto& hits = MetricsRegistry::Global().counter("bytecode.cache_hits");
-  const uint64_t compiles_before = compiles.Value();
-  const uint64_t hits_before = hits.Value();
-
-  BytecodeCache cache;
-  BoundExprPtr a = Bind("x + y * 2.0");
-  BoundExprPtr b = Bind("x + y * 2.0");
-  BoundExprPtr c = Bind("x - y");
-  ASSERT_TRUE(a && b && c);
-
-  CompiledExprPtr pa = CompileExpr(*a, &cache);
-  CompiledExprPtr pb = CompileExpr(*b, &cache);
-  ASSERT_NE(pa, nullptr);
-  // Identical instruction streams share one cache entry (same object).
-  EXPECT_EQ(pa.get(), pb.get());
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(compiles.Value() - compiles_before, 1u);
-  EXPECT_EQ(hits.Value() - hits_before, 1u);
-
-  CompiledExprPtr pc = CompileExpr(*c, &cache);
-  ASSERT_NE(pc, nullptr);
-  EXPECT_NE(pc.get(), pa.get());
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(compiles.Value() - compiles_before, 2u);
-  EXPECT_EQ(hits.Value() - hits_before, 1u);
-}
-
 TEST_F(BytecodeTest, CacheKeyDistinguishesConstants) {
-  BytecodeCache cache;
+  auto& compiles = MetricsRegistry::Global().counter("bytecode.compiles");
+  const uint64_t compiles_before = compiles.Value();
   BoundExprPtr a = Bind("x * 2.0");
   BoundExprPtr b = Bind("x * 3.0");
-  ASSERT_TRUE(a && b);
-  CompiledExprPtr pa = CompileExpr(*a, &cache);
-  CompiledExprPtr pb = CompileExpr(*b, &cache);
-  ASSERT_TRUE(pa && pb);
+  BoundExprPtr c = Bind("x * 2.0");
+  ASSERT_TRUE(a && b && c);
+  CompiledExprPtr pa = CompileExpr(*a);
+  CompiledExprPtr pb = CompileExpr(*b);
+  CompiledExprPtr pc = CompileExpr(*c);
+  ASSERT_TRUE(pa && pb && pc);
   EXPECT_NE(pa->cache_key(), pb->cache_key());
-  EXPECT_EQ(cache.size(), 2u);
+  // Identical instruction streams have equal keys; every compile counts.
+  EXPECT_EQ(pa->cache_key(), pc->cache_key());
+  EXPECT_EQ(compiles.Value() - compiles_before, 3u);
 }
 
 }  // namespace

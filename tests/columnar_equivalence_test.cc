@@ -284,12 +284,12 @@ TEST(ColumnarEquivalenceTest, GroupedUdfCallsMatchRowPath) {
   }
 }
 
-TEST(ColumnarEquivalenceTest, GroupedSpansKeepRowOrderWithinEachGroup) {
-  // Values with full 53-bit mantissas over a wide exponent range: their
-  // sums round, so a group's state matches the row path bit for bit
-  // only if it took its rows in row order (the dyadic tables above add
-  // exactly in any order). NULLs are sprinkled through every column.
-  auto db = MakeTestDatabase(/*num_partitions=*/3, /*num_threads=*/2);
+/// Fills Y(i, y1, y2, y3) with values of full 53-bit mantissas over a
+/// wide exponent range: their sums round, so a state matches the row
+/// path bit for bit only if it took its rows in row order and the
+/// partials merged in grid order (the dyadic tables above add exactly
+/// in any order). NULLs are sprinkled through every column.
+void FillMantissaTable(Database* db) {
   NLQ_ASSERT_OK(db->ExecuteCommand(
       "CREATE TABLE Y (i BIGINT, y1 DOUBLE, y2 DOUBLE, y3 DOUBLE)"));
   std::string insert;
@@ -311,6 +311,11 @@ TEST(ColumnarEquivalenceTest, GroupedSpansKeepRowOrderWithinEachGroup) {
       insert.clear();
     }
   }
+}
+
+TEST(ColumnarEquivalenceTest, GroupedSpansKeepRowOrderWithinEachGroup) {
+  auto db = MakeTestDatabase(/*num_partitions=*/3, /*num_threads=*/2);
+  FillMantissaTable(db.get());
   for (const char* sql :
        {"SELECT i % 13, nlq_list('triang', y1, y2, y3) FROM Y GROUP BY i % 13",
         "SELECT i % 97, nlq_list('full', y1, y2), count(*) FROM Y "
@@ -318,6 +323,29 @@ TEST(ColumnarEquivalenceTest, GroupedSpansKeepRowOrderWithinEachGroup) {
         "SELECT i % 4, nlq_list('diag', y3, y1 * 3.0) FROM Y WHERE y2 > -1 "
         "GROUP BY i % 4"}) {
     AssertPathsAgree(db.get(), sql);
+  }
+}
+
+TEST(ColumnarEquivalenceTest, GlobalAggregatesKeepRowOrder) {
+  // The global span path and the builtins over full-mantissa values,
+  // on 256-row morsels so every partition holds several partials.
+  for (const size_t parts : {1, 2, 4, 7}) {
+    SCOPED_TRACE(StringPrintf("partitions=%zu", parts));
+    DatabaseOptions options;
+    options.num_partitions = parts;
+    options.num_threads = 2;
+    options.morsel_rows = 256;
+    Database db(options);
+    NLQ_ASSERT_OK(stats::RegisterAllStatsUdfs(&db.udfs()));
+    FillMantissaTable(&db);
+    for (const char* sql :
+         {"SELECT nlq_list('diag', y1, y2, y3) FROM Y",
+          "SELECT nlq_list('triang', y1, y2, y3) FROM Y",
+          "SELECT nlq_list('full', y1, y3 * 2.0) FROM Y WHERE y2 > -1",
+          "SELECT count(*), count(y1), sum(y1), avg(y2), min(y3), max(y1), "
+          "sum(y1 * y2) FROM Y"}) {
+      AssertPathsAgree(&db, sql);
+    }
   }
 }
 

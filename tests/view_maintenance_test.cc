@@ -6,18 +6,21 @@
 //   1. bit-identity — the view-backed result equals the plain
 //      columnar rescan exactly, across worker-thread counts {1,2,4}
 //      and partition layouts {1,2,4,7}, through repeated append +
-//      refresh rounds that extend tail morsels mid-stream;
+//      refresh rounds that extend tail morsels mid-stream, on dyadic
+//      data and on full-mantissa data whose sums see any change in
+//      accumulation or merge order;
 //   2. O(delta) work — a refresh after k appended rows accumulates k
 //      rows (view_delta_rows) and decodes a small suffix of pages,
 //      not the whole table;
 //   3. safe degradation — staleness (Clear/spill/DROP), memory
-//      pressure, and eviction all fall back to a full rescan with the
-//      registry state dropped, never a wrong or missing result; a
+//      pressure, and eviction drop the registry state, and the
+//      statement's own scan answers, never a wrong or missing result; a
 //      spilled or partly spilled table reseeds once and is then served
 //      like a resident one.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -177,6 +180,83 @@ TEST(ViewMaintenanceTest, BitIdenticalToRescanAcrossThreadsAndPartitions) {
       } else {
         // Thread count must not change one bit of any round.
         EXPECT_EQ(sigs, baseline);
+      }
+    }
+  }
+}
+
+/// Full-mantissa cell: sums of these round, so the result bits change
+/// with the order rows accumulate or partials merge — which the dyadic
+/// CellValue, whose every sum is exact, cannot show.
+double MantissaCell(size_t r, size_t c) {
+  return std::sin(0.37 * static_cast<double>(r) + static_cast<double>(c)) *
+         1000.0;
+}
+
+void AppendMantissaRows(Database* db, size_t begin, size_t end) {
+  std::string insert;
+  for (size_t r = begin; r < end; ++r) {
+    insert += insert.empty() ? "INSERT INTO T VALUES " : ", ";
+    insert += StringPrintf("(%zu, %.17g, %.17g)", r, MantissaCell(r, 1),
+                           MantissaCell(r, 2));
+    if ((r + 1 - begin) % 128 == 0 || r + 1 == end) {
+      NLQ_ASSERT_OK(db->ExecuteCommand(insert));
+      insert.clear();
+    }
+  }
+}
+
+TEST(ViewMaintenanceTest, FullMantissaAppendRoundsStayBitIdentical) {
+  // A seed, then three append rounds on 64-row morsels: each round
+  // extends tail morsels part of the way and opens new ones. A refresh
+  // must continue each stored partial's accumulation exactly where it
+  // stopped and fold in grid order, or the rounded sums differ from
+  // the views-off twin's.
+  const size_t kPartitions[] = {1, 2, 4, 7};
+  const size_t kThreads[] = {1, 2, 4};
+  constexpr uint64_t kMorselRows = 64;
+  const size_t kBounds[] = {500, 800, 1150, 1600};
+  for (const size_t parts : kPartitions) {
+    for (const size_t threads : kThreads) {
+      SCOPED_TRACE(StringPrintf("partitions=%zu threads=%zu", parts, threads));
+      auto vdb = MakeViewDb(parts, threads, /*views=*/true, kMorselRows);
+      auto pdb = MakeViewDb(parts, threads, /*views=*/false, kMorselRows);
+      CreateT(vdb.get());
+      CreateT(pdb.get());
+      NLQ_ASSERT_OK_AND_ASSIGN(storage::PartitionedTable * table,
+                               vdb->catalog().GetTable("T"));
+      size_t filled = 0;
+      for (const size_t bound : kBounds) {
+        std::vector<uint64_t> before;
+        for (size_t p = 0; p < parts; ++p) {
+          before.push_back(table->partition(p).num_rows());
+        }
+        AppendMantissaRows(vdb.get(), filled, bound);
+        AppendMantissaRows(pdb.get(), filled, bound);
+        if (filled > 0) {
+          // Some partition's tail morsel was partly full and is now
+          // full, with rows past it in a new morsel.
+          bool extends_and_opens = false;
+          for (size_t p = 0; p < parts; ++p) {
+            const uint64_t tail_end =
+                (before[p] / kMorselRows + 1) * kMorselRows;
+            extends_and_opens |= before[p] % kMorselRows != 0 &&
+                                 table->partition(p).num_rows() > tail_end;
+          }
+          EXPECT_TRUE(extends_and_opens) << "round to " << bound;
+        }
+        for (const char* sql : kQueries) {
+          NLQ_ASSERT_OK_AND_ASSIGN(ResultSet viewed, vdb->Execute(sql));
+          NLQ_ASSERT_OK_AND_ASSIGN(ResultSet plain, pdb->Execute(sql));
+          EXPECT_EQ(ResultSignature(viewed), ResultSignature(plain))
+              << sql << " after " << bound << " rows";
+          const QueryStatsSnapshot& stats = *vdb->last_query_stats();
+          EXPECT_EQ(stats.view_hits, filled > 0 ? 1u : 0u) << sql;
+          if (filled > 0) {
+            EXPECT_EQ(stats.view_delta_rows, bound - filled) << sql;
+          }
+        }
+        filled = bound;
       }
     }
   }

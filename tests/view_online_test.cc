@@ -5,21 +5,26 @@
 // final model stays bit-identical to a from-scratch rescan of the same
 // rows on a views-free database.
 //
-// Synchronization contract (the Database itself is NOT thread-safe):
-// writers append through PartitionedTable::AppendRowToPartition, each
-// owning one partition, under a shared lock — concurrent with each
-// other (different Table objects), excluded from statements; the
-// refresher takes the lock exclusively around each Database::Execute.
+// Synchronization contract of the first two cases: writers append
+// through PartitionedTable::AppendRowToPartition, which bypasses the
+// Database's statement gate, each owning one partition, under a shared
+// lock — concurrent with each other (different Table objects),
+// excluded from statements; the refresher takes the lock exclusively
+// around each Database::Execute.
 // Scoring readers never touch the database: they decode the latest
-// published model snapshot under its own mutex. Run under TSan, this
-// is the race check for the whole append + view-refresh + scoring
-// stack; run anywhere, the bit-exactness assertions hold.
+// published model snapshot under its own mutex. The last case runs
+// view-served statements concurrently through Database::Execute, whose
+// statement gate admits SELECTs together. Run under TSan, this is the
+// race check for the whole append + view-refresh + scoring stack; run
+// anywhere, the bit-exactness assertions hold.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -332,6 +337,62 @@ TEST(ViewOnlineTest, SpillMidStreamDegradesViewToRescanNeverStale) {
       stats::SufStats frozen,
       stats::SufStats::FromPackedString(post_spill_models.front()));
   EXPECT_EQ(frozen.n(), static_cast<double>(total_rows));
+}
+
+// Concurrent view-served statements: several threads run the same
+// maintained-view statement through Database::Execute at once (the
+// statement gate admits SELECTs together), between exclusive INSERT
+// rounds. Each statement takes the entry, reads the stored partials in
+// place, extends clones of the ones it resumes and stores them back
+// while the others are still reading: every answer must equal the
+// views-off replay bit for bit, and the shape stays one entry. Under
+// TSan this is the race check for take, resumed scan and store.
+TEST(ViewOnlineTest, ConcurrentViewServedStatementsMatchReplay) {
+  constexpr size_t kStatements = 4;
+  constexpr size_t kRounds = 4;
+  constexpr size_t kRowsPerRound = 700;
+  auto db = MakeDb(/*threads=*/2, /*views=*/true);
+  auto oracle_db = MakeDb(/*threads=*/2, /*views=*/false);
+  CreateT(db.get());
+  CreateT(oracle_db.get());
+  for (size_t round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(StringPrintf("round=%zu", round));
+    // Full-mantissa values: a partial folded or extended out of order
+    // changes the rounded sums.
+    std::string insert;
+    for (size_t r = round * kRowsPerRound; r < (round + 1) * kRowsPerRound;
+         ++r) {
+      insert += insert.empty() ? "INSERT INTO T VALUES " : ", ";
+      insert += StringPrintf("(%zu, %.17g, %.17g)", r,
+                             std::sin(0.37 * static_cast<double>(r)) * 1000.0,
+                             std::cos(0.11 * static_cast<double>(r)) * 10.0);
+    }
+    NLQ_ASSERT_OK(db->ExecuteCommand(insert));
+    NLQ_ASSERT_OK(oracle_db->ExecuteCommand(insert));
+    NLQ_ASSERT_OK_AND_ASSIGN(ResultSet oracle, oracle_db->Execute(kModelSql));
+    const std::string want = oracle.At(0, 0).string_value();
+
+    std::latch start(kStatements);
+    std::vector<std::string> got(kStatements);
+    std::vector<std::thread> statements;
+    for (size_t t = 0; t < kStatements; ++t) {
+      statements.emplace_back([&, t] {
+        start.arrive_and_wait();
+        auto result = db->Execute(kModelSql);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        got[t] = result->At(0, 0).string_value();
+      });
+    }
+    for (auto& t : statements) t.join();
+    for (size_t t = 0; t < kStatements; ++t) {
+      EXPECT_EQ(got[t], want) << "statement " << t;
+    }
+    EXPECT_EQ(db->view_registry()->num_views(), 1u);
+  }
+  // Nothing appended since: one more statement is a hit over no rows.
+  NLQ_ASSERT_OK(db->Execute(kModelSql).status());
+  EXPECT_EQ(db->last_query_stats()->view_hits, 1u);
+  EXPECT_EQ(db->last_query_stats()->view_delta_rows, 0u);
 }
 
 }  // namespace
