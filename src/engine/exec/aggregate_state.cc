@@ -43,13 +43,12 @@ ArgLane RegLane(const ExprVM::Reg& reg, DataType type) {
   return lane;
 }
 
-/// A program that is one bare column load is read in place from the
-/// batch: fills `lane` and returns true. False for any other program.
-bool ColumnLane(const CompiledExpr& prog, const ColumnSpanBatch& batch,
+/// An argument that is one bare column is read in place from the
+/// batch: fills `lane` and returns true. False for any other argument.
+bool ColumnLane(const ArgColumns& cols, const ColumnSpanBatch& batch,
                 const std::vector<int>& slot_to_col, ArgLane* lane) {
-  const std::vector<Instr>& code = prog.instructions();
-  if (code.size() != 1 || code[0].op != OpCode::kLoadCol) return false;
-  const int c = slot_to_col[code[0].slot];
+  if (cols.kind != ArgColumns::Kind::kColumn) return false;
+  const int c = slot_to_col[cols.a];
   lane->d = batch.doubles[c];
   lane->i = batch.ints[c];
   lane->nulls = batch.null_bits[c];
@@ -58,14 +57,92 @@ bool ColumnLane(const CompiledExpr& prog, const ColumnSpanBatch& batch,
 
 /// Lane of a builtin's single argument; a VM-evaluated lane aliases a
 /// register until the next evaluation.
-StatusOr<ArgLane> BuiltinLane(const CompiledExpr& prog,
+StatusOr<ArgLane> BuiltinLane(const VectorAggSpec& args,
                               const ColumnSpanBatch& batch,
                               const std::vector<int>& slot_to_col,
                               ExprVM* vm) {
   ArgLane lane;
-  if (ColumnLane(prog, batch, slot_to_col, &lane)) return lane;
+  if (ColumnLane(args.columns[0], batch, slot_to_col, &lane)) return lane;
+  const CompiledExpr& prog = *args.progs[0];
   NLQ_RETURN_IF_ERROR(vm->EvalSpans(prog, batch, slot_to_col, batch.rows));
   return RegLane(vm->result(prog), prog.result_type());
+}
+
+/// Takes builtin `state`'s batch onto column lanes when its columns
+/// (`cols`, which TakesColumnLanes accepted) carry no null bitmap:
+/// COUNT adds the row count at once, SUM/AVG queue a LaneTerm for
+/// AccumulateLaneTerms. False, touching nothing, otherwise.
+bool AddLaneTerm(AggregateSpec::Kind kind, const ArgColumns& cols,
+                 const ColumnSpanBatch& batch,
+                 const std::vector<int>& slot_to_col, BuiltinAggState* state,
+                 SpanScratch* s) {
+  const int a = slot_to_col[cols.a];
+  const int b = cols.kind == ArgColumns::Kind::kProduct ? slot_to_col[cols.b]
+                                                        : -1;
+  if (batch.null_bits[a] != nullptr ||
+      (b >= 0 && batch.null_bits[b] != nullptr)) {
+    return false;
+  }
+  if (kind == AggregateSpec::Kind::kCount) {
+    state->count += static_cast<int64_t>(batch.rows);
+    state->seen = true;
+    return true;
+  }
+  s->lane_terms.push_back(
+      {batch.doubles[a], b >= 0 ? batch.doubles[b] : nullptr, state});
+  return true;
+}
+
+constexpr size_t kLaneTile = 8;
+
+/// Up to kLaneTile lane terms of one kind (bare columns, or products
+/// when kProduct) over `rows` rows in one pass with an accumulator
+/// each: it starts from the term's stored sum and adds the term's rows
+/// in row order, a multiply then an add, so the state ends with the
+/// bits per-row UpdateBuiltin calls give it. A short tile repeats its
+/// first term in the spare accumulators and drops their sums.
+template <bool kProduct>
+void AccumulateLaneTile(const LaneTerm* terms, size_t m, size_t rows) {
+  const double* a[kLaneTile];
+  const double* b[kLaneTile];
+  double acc[kLaneTile];
+  for (size_t k = 0; k < kLaneTile; ++k) {
+    const LaneTerm& t = terms[k < m ? k : 0];
+    a[k] = t.a;
+    b[k] = t.b;
+    acc[k] = t.state->sum;
+  }
+  for (size_t r = 0; r < rows; ++r) {
+#pragma GCC unroll 8
+    for (size_t k = 0; k < kLaneTile; ++k) {
+      acc[k] += kProduct ? a[k][r] * b[k][r] : a[k][r];
+    }
+  }
+  for (size_t k = 0; k < m; ++k) {
+    BuiltinAggState* state = terms[k].state;
+    state->sum = acc[k];
+    state->count += static_cast<int64_t>(rows);
+    state->seen = true;
+  }
+}
+
+/// Runs the queued lane terms over `rows` rows, in tiles of consecutive
+/// terms of one kind.
+void AccumulateLaneTerms(const std::vector<LaneTerm>& terms, size_t rows) {
+  for (size_t t = 0; t < terms.size();) {
+    const bool product = terms[t].b != nullptr;
+    size_t m = 1;
+    while (m < kLaneTile && t + m < terms.size() &&
+           (terms[t + m].b != nullptr) == product) {
+      ++m;
+    }
+    if (product) {
+      AccumulateLaneTile<true>(&terms[t], m, rows);
+    } else {
+      AccumulateLaneTile<false>(&terms[t], m, rows);
+    }
+    t += m;
+  }
 }
 
 /// Fills scratch->lanes with every program argument of one UDF call,
@@ -77,8 +154,10 @@ Status LoadUdfLanes(const VectorAggSpec& args, const ColumnSpanBatch& batch,
   s->lanes.resize(ncols);
   if (s->regs.size() < ncols) s->regs.resize(ncols);
   for (size_t a = 0; a < ncols; ++a) {
+    if (ColumnLane(args.columns[a], batch, slot_to_col, &s->lanes[a])) {
+      continue;
+    }
     const CompiledExpr& prog = *args.progs[a];
-    if (ColumnLane(prog, batch, slot_to_col, &s->lanes[a])) continue;
     NLQ_RETURN_IF_ERROR(
         s->vm.EvalSpans(prog, batch, slot_to_col, batch.rows));
     s->vm.CopyResult(prog, batch.rows, &s->regs[a]);
@@ -265,7 +344,8 @@ Status AccumulateUdfRows(const AggregateSpec& spec, size_t i,
 
 /// ROW phase of every spec over one batch, row r folding into
 /// `state_of(r)`. `groups` is null for a global batch (one state, so
-/// span-capable UDFs take the batch in one AccumulateSpans call); for
+/// span-capable UDFs take the batch in one AccumulateSpans call, and
+/// builtins on column lanes run after the other specs, in tiles); for
 /// a grouped batch it lists the stream's groups, and span-capable UDFs
 /// take one call per group of the batch (SortRowsByGroup ran first).
 template <typename StateOf>
@@ -276,6 +356,7 @@ Status AccumulateBatch(const std::vector<AggregateSpec>& specs,
                        const std::vector<AggState*>* groups,
                        StateOf state_of, SpanScratch* s) {
   const size_t n = batch.rows;
+  s->lane_terms.clear();
   for (size_t i = 0; i < specs.size(); ++i) {
     const AggregateSpec& spec = specs[i];
     if (spec.kind == AggregateSpec::Kind::kCountStar) {
@@ -296,14 +377,19 @@ Status AccumulateBatch(const std::vector<AggregateSpec>& specs,
                                             slot_to_col, s, state_of));
       continue;
     }
-    NLQ_ASSIGN_OR_RETURN(
-        const ArgLane x,
-        BuiltinLane(*args[i].progs[0], batch, slot_to_col, &s->vm));
+    if (groups == nullptr && TakesColumnLanes(spec, args[i]) &&
+        AddLaneTerm(spec.kind, args[i].columns[0], batch, slot_to_col,
+                    &state_of(0)->builtin[i], s)) {
+      continue;
+    }
+    NLQ_ASSIGN_OR_RETURN(const ArgLane x,
+                         BuiltinLane(args[i], batch, slot_to_col, &s->vm));
     for (size_t r = 0; r < n; ++r) {
       if (LaneNull(x, r)) continue;
       UpdateBuiltin(spec.kind, LaneDouble(x, r), &state_of(r)->builtin[i]);
     }
   }
+  AccumulateLaneTerms(s->lane_terms, n);
   return Status::OK();
 }
 
@@ -329,6 +415,48 @@ StatusOr<std::vector<Row>> FinalizeGroups(const BoundAggregation& agg,
 }
 
 }  // namespace
+
+ArgColumns ArgColumnsOf(const CompiledExpr& prog) {
+  ArgColumns out;
+  const std::vector<Instr>& code = prog.instructions();
+  if (code.empty() || code.back().dst != prog.result_reg()) return out;
+  const Instr& last = code.back();
+  if (code.size() == 1 && last.op == OpCode::kLoadCol) {
+    out.kind = ArgColumns::Kind::kColumn;
+    out.a = last.slot;
+    return out;
+  }
+  // A multiply of DOUBLE column loads: one load per operand, or one
+  // for both.
+  if (last.op != OpCode::kMulD || code.size() > 3) return out;
+  const Instr* a = nullptr;
+  const Instr* b = nullptr;
+  for (size_t k = 0; k + 1 < code.size(); ++k) {
+    const Instr& load = code[k];
+    if (load.op != OpCode::kLoadCol || load.type != DataType::kDouble) {
+      return out;
+    }
+    if (load.dst == last.a) a = &load;
+    if (load.dst == last.b) b = &load;
+  }
+  if (a == nullptr || b == nullptr) return out;
+  out.kind = ArgColumns::Kind::kProduct;
+  out.a = a->slot;
+  out.b = b->slot;
+  return out;
+}
+
+bool TakesColumnLanes(const AggregateSpec& spec, const VectorAggSpec& args) {
+  if (spec.kind != AggregateSpec::Kind::kSum &&
+      spec.kind != AggregateSpec::Kind::kAvg &&
+      spec.kind != AggregateSpec::Kind::kCount) {
+    return false;
+  }
+  const ArgColumns::Kind kind = args.columns[0].kind;
+  return kind == ArgColumns::Kind::kProduct ||
+         (kind == ArgColumns::Kind::kColumn &&
+          args.progs[0]->result_type() == DataType::kDouble);
+}
 
 Status InitAggState(const std::vector<AggregateSpec>& specs,
                     MemoryTracker* memory, AggState* state) {

@@ -162,6 +162,21 @@ StatusOr<std::vector<storage::Row>> MergeAndFinalize(
 // Columnar ROW phase
 // ---------------------------------------------------------------------------
 
+/// The columns an argument program reads in place of running through
+/// the VM: one bare column load (`kColumn`, any numeric type), or a
+/// kMulD of two bare DOUBLE column loads (`kProduct`, `a[r] * b[r]` in
+/// the program's operand order). `kProgram`: anything else.
+struct ArgColumns {
+  enum class Kind : uint8_t { kProgram, kColumn, kProduct };
+  Kind kind = Kind::kProgram;
+  uint32_t a = 0;  // input slots; `b` for kProduct only
+  uint32_t b = 0;
+};
+
+/// Recognises `prog`'s ArgColumns; the planner calls it once per
+/// program, where the program is compiled.
+ArgColumns ArgColumnsOf(const CompiledExpr& prog);
+
 /// Compiled arguments of one aggregate call, parallel to
 /// BoundAggregation::specs. Aggregate UDFs like nlq_list take leading
 /// literal configuration arguments (VARCHAR, which never compiles):
@@ -170,7 +185,14 @@ StatusOr<std::vector<storage::Row>> MergeAndFinalize(
 struct VectorAggSpec {
   std::vector<storage::Datum> const_args;  // leading literal arguments
   std::vector<CompiledExprPtr> progs;      // the remaining arguments
+  std::vector<ArgColumns> columns;         // per program: ArgColumnsOf
 };
+
+/// True when builtin `spec` is a SUM, AVG or COUNT whose argument is a
+/// bare DOUBLE column or a product of two: a global batch whose
+/// columns carry no null bitmap accumulates it on column lanes (see
+/// AccumulateSpanBatch).
+bool TakesColumnLanes(const AggregateSpec& spec, const VectorAggSpec& args);
 
 /// One argument's values over a span batch: exactly one of `d`/`i` is
 /// set (by type); `nulls` is the null bitmap, or nullptr.
@@ -180,12 +202,21 @@ struct ArgLane {
   const uint64_t* nulls = nullptr;
 };
 
+/// One SUM/AVG term of a global batch on column lanes: adds a[r] (or
+/// a[r] * b[r] when `b` is set) for every row into `state`.
+struct LaneTerm {
+  const double* a = nullptr;
+  const double* b = nullptr;
+  BuiltinAggState* state = nullptr;
+};
+
 /// Per-stream scratch of the columnar ROW phase, reused across batches.
 /// `ctx` (may be null) is what the VM polls during UDF calls.
 struct SpanScratch {
   explicit SpanScratch(const QueryContext* ctx = nullptr) : vm(ctx) {}
 
   ExprVM vm;
+  std::vector<LaneTerm> lane_terms;       // a global batch's lane terms
   std::vector<ExprVM::Reg> regs;          // per argument: program results
   std::vector<ArgLane> lanes;             // per argument
   std::vector<std::vector<double>> cols;  // widened / compacted spans
@@ -206,7 +237,12 @@ struct SpanScratch {
 
 /// ROW phase of a global aggregate over one span batch, every spec
 /// into one state. Bare column arguments are read in place, any other
-/// argument through the VM. Aggregate UDFs that support spans get the
+/// argument through the VM. A builtin that TakesColumnLanes, when its
+/// columns carry no null bitmap in the batch, is read straight from
+/// the spans: COUNT adds the row count, and SUM/AVG terms run in tiles
+/// of independent accumulators per pass over the rows, each adding
+/// its rows in row order exactly as UpdateBuiltin would (a multiply,
+/// then an add). Aggregate UDFs that support spans get the
 /// whole batch through AccumulateSpans — bare DOUBLE columns
 /// zero-copy, NULL rows dropped by order-preserving compaction (the
 /// skip-row policy), called even when every row compacts away so the

@@ -360,6 +360,7 @@ VectorPipeline TryVectorAggregate(const FromInputs& inputs,
     for (; a < spec.args.size(); ++a) {
       CompiledExprPtr prog = CompileExpr(*spec.args[a]);
       if (prog == nullptr) return VectorPipeline{};
+      vs.columns.push_back(ArgColumnsOf(*prog));
       vs.progs.push_back(std::move(prog));
     }
     p.spec_args.push_back(std::move(vs));

@@ -139,10 +139,16 @@ std::string VectorHashAggregateNode::annotation() const {
       StringPrintf("%zu group key(s), %zu aggregate(s)",
                    agg_.key_exprs.size(), agg_.specs.size());
   size_t udfs = 0;
-  for (const auto& spec : agg_.specs) {
+  size_t lanes = 0;
+  for (size_t i = 0; i < agg_.specs.size(); ++i) {
+    const AggregateSpec& spec = agg_.specs[i];
     if (spec.kind == AggregateSpec::Kind::kUdf) ++udfs;
+    if (agg_.key_exprs.empty() && TakesColumnLanes(spec, spec_args_[i])) {
+      ++lanes;
+    }
   }
   if (udfs > 0) out += StringPrintf(", %zu aggregate UDF call(s)", udfs);
+  if (lanes > 0) out += StringPrintf(", %zu on column lanes", lanes);
   if (has_having_) out += ", having: " + having_text_;
   out += StringPrintf("; merge: %zu partial state(s) per group, %zu worker(s)",
                       child_->num_streams(),

@@ -16,6 +16,7 @@
 
 #include "common/strings.h"
 #include "engine/database.h"
+#include "stats/sqlgen.h"
 #include "stats/sufstats.h"
 #include "tests/test_util.h"
 
@@ -344,6 +345,74 @@ TEST(ColumnarEquivalenceTest, GlobalAggregatesKeepRowOrder) {
           "SELECT nlq_list('full', y1, y3 * 2.0) FROM Y WHERE y2 > -1",
           "SELECT count(*), count(y1), sum(y1), avg(y2), min(y3), max(y1), "
           "sum(y1 * y2) FROM Y"}) {
+      AssertPathsAgree(&db, sql);
+    }
+  }
+}
+
+/// Fills W(i, y1, y2, y3, z, v): y1..y3 of full 53-bit mantissas with
+/// no NULL, z all -0.0, and v like y1 but NULL on every 17th row of
+/// rows 1000..1999 only, so some of its batches carry a null bitmap
+/// and the rest none.
+void FillLaneTable(Database* db) {
+  NLQ_ASSERT_OK(db->ExecuteCommand(
+      "CREATE TABLE W (i BIGINT, y1 DOUBLE, y2 DOUBLE, y3 DOUBLE, z DOUBLE, "
+      "v DOUBLE)"));
+  auto value = [](size_t r, size_t c) {
+    return std::sin(static_cast<double>(r * 3 + c)) *
+           std::ldexp(1.0, static_cast<int>((r + c) % 23) - 11);
+  };
+  std::string insert;
+  for (size_t r = 0; r < 5000; ++r) {
+    insert += insert.empty() ? "INSERT INTO W VALUES " : ", ";
+    insert += StringPrintf("(%zu, %.17g, %.17g, %.17g, -0.0, ", r,
+                           value(r, 0), value(r, 1), value(r, 2));
+    insert += r >= 1000 && r < 2000 && r % 17 == 0
+                  ? std::string("NULL)")
+                  : StringPrintf("%.17g)", value(r, 3));
+    if ((r + 1) % 250 == 0) {
+      NLQ_ASSERT_OK(db->ExecuteCommand(insert));
+      insert.clear();
+    }
+  }
+}
+
+TEST(ColumnarEquivalenceTest, ColumnLaneSumsKeepRowOrder) {
+  // Builtin SUM/AVG/COUNT over a bare DOUBLE column or a product of two
+  // take a global batch on column lanes when no column of theirs has a
+  // NULL there: full-mantissa sums catch any reordering of a lane's
+  // rows, the all -0.0 column z an accumulator that does not start
+  // from its stored sum (0.0 + -0.0 is +0.0), and v's NULL batches a
+  // batch wrongly taken onto lanes (counts and sums change). BIGINT
+  // and mixed arguments keep the per-row loop beside them.
+  const std::vector<std::string> ys = {"y1", "y2", "y3"};
+  const std::vector<std::string> mixed = {"y1", "v", "z"};
+  const std::vector<std::string> queries = {
+      stats::NlqSqlQuery("W", ys, stats::MatrixKind::kLowerTriangular),
+      stats::NlqSqlQuery("W", ys, stats::MatrixKind::kFull),
+      stats::NlqSqlQuery("W", mixed, stats::MatrixKind::kLowerTriangular),
+      stats::NlqSqlQuery("W", mixed, stats::MatrixKind::kFull),
+      "SELECT avg(y1), avg(v), count(y2), count(v), count(z * v), sum(z), "
+      "sum(z * y1), sum(y3 * z), avg(y2 * y3), sum(1.0) FROM W",
+      "SELECT sum(i), avg(i), count(i), sum(i * y1), sum(y1 * i), sum(v * y2), "
+      "sum(y2), avg(v * v) FROM W",
+      "SELECT sum(y1 * y2), count(y3), avg(v), sum(z) FROM W WHERE y3 > 0"};
+  for (const size_t parts : {1, 2, 4, 7}) {
+    SCOPED_TRACE(StringPrintf("partitions=%zu", parts));
+    DatabaseOptions options;
+    options.num_partitions = parts;
+    options.num_threads = 2;
+    options.morsel_rows = 256;
+    Database db(options);
+    NLQ_ASSERT_OK(stats::RegisterAllStatsUdfs(&db.udfs()));
+    FillLaneTable(&db);
+    auto zero = db.Execute("SELECT z FROM W WHERE i = 3");
+    NLQ_ASSERT_OK(zero.status());
+    EXPECT_EQ(ExactSignature(*zero), "d:8000000000000000,\n");
+    for (const std::string& sql : queries) {
+      NLQ_ASSERT_OK_AND_ASSIGN(std::string plan, db.Explain(sql));
+      EXPECT_NE(plan.find("on column lanes"), std::string::npos)
+          << sql << "\n" << plan;
       AssertPathsAgree(&db, sql);
     }
   }

@@ -151,6 +151,35 @@ TEST_F(ExplainTest, AggregatePlanCountsUdfCalls) {
   EXPECT_EQ(plan.find("Gather"), std::string::npos);
 }
 
+TEST_F(ExplainTest, GlobalAggregateCountsColumnLaneBuiltins) {
+  // The paper's wide SUM query at d = 33: its 33 sum(Xa) and 561
+  // sum(Xa * Xb) read their columns on lanes, sum(1.0) runs the VM.
+  std::vector<std::string> cols = stats::DimensionColumns(32);
+  cols.push_back("Y");
+  std::string ddl = "CREATE TABLE W (i BIGINT";
+  for (const std::string& c : cols) ddl += ", " + c + " DOUBLE";
+  NLQ_ASSERT_OK(db_->ExecuteCommand(ddl + ")"));
+  const std::string wide =
+      Plan(stats::NlqSqlQuery("W", cols, stats::MatrixKind::kLowerTriangular));
+  EXPECT_NE(wide.find("VectorHashAggregate (0 group key(s), 595 aggregate(s), "
+                      "594 on column lanes; merge:"),
+            std::string::npos)
+      << wide;
+  // SUM/AVG/COUNT of a DOUBLE column or a product of two count; a
+  // BIGINT column, an expression, MIN and a grouped statement do not.
+  EXPECT_NE(Plan("SELECT sum(X1), avg(X1 * X2), count(X2), sum(i), "
+                 "sum(X1 + X2), min(X1), count(*) FROM X")
+                .find("7 aggregate(s), 3 on column lanes;"),
+            std::string::npos);
+  EXPECT_EQ(Plan("SELECT i % 2, sum(X1) FROM X GROUP BY i % 2")
+                .find("column lanes"),
+            std::string::npos);
+  // A UDF-only statement has nothing on column lanes.
+  EXPECT_EQ(Plan("SELECT nlq_list('triang', X1, X2) FROM X")
+                .find("column lanes"),
+            std::string::npos);
+}
+
 TEST_F(ExplainTest, HavingAndSortAndLimitShown) {
   const std::string plan = Plan(
       "SELECT i % 2, count(*) FROM X GROUP BY i % 2 "
