@@ -7,6 +7,7 @@
 #include "common/strings.h"
 #include "engine/exec/executor.h"
 #include "engine/exec/planner.h"
+#include "engine/exec/table_writer.h"
 #include "engine/exec/view_registry.h"
 #include "engine/expr.h"
 #include "engine/parser.h"
@@ -20,48 +21,6 @@ using storage::Datum;
 using storage::PartitionedTable;
 using storage::Row;
 using storage::Schema;
-
-StatusOr<Row> CoerceRowToSchema(const Row& row, const Schema& schema) {
-  if (row.size() != schema.num_columns()) {
-    return Status::InvalidArgument(
-        StringPrintf("expected %zu values, got %zu", schema.num_columns(),
-                     row.size()));
-  }
-  Row out(row.size());
-  for (size_t i = 0; i < row.size(); ++i) {
-    const DataType want = schema.column(i).type;
-    const Datum& v = row[i];
-    if (v.is_null()) {
-      out[i] = Datum::Null(want);
-      continue;
-    }
-    if (v.type() == want) {
-      out[i] = v;
-      continue;
-    }
-    if (want == DataType::kDouble && v.type() != DataType::kVarchar) {
-      out[i] = Datum::Double(v.AsDouble());
-      continue;
-    }
-    if (want == DataType::kInt64 && v.type() != DataType::kVarchar) {
-      out[i] = Datum::Int64(static_cast<int64_t>(v.AsDouble()));
-      continue;
-    }
-    return Status::InvalidArgument(
-        StringPrintf("cannot coerce %s to %s for column '%s'",
-                     DataTypeName(v.type()), DataTypeName(want),
-                     schema.column(i).name.c_str()));
-  }
-  return out;
-}
-
-Status AppendResultToTable(const ResultSet& result, PartitionedTable* table) {
-  for (const Row& row : result.rows()) {
-    NLQ_ASSIGN_OR_RETURN(Row coerced, CoerceRowToSchema(row, table->schema()));
-    NLQ_RETURN_IF_ERROR(table->AppendRow(coerced));
-  }
-  return Status::OK();
-}
 
 /// Shapes EXPLAIN [ANALYZE] text into a one-VARCHAR-column result set,
 /// one row per rendered line.
@@ -132,9 +91,9 @@ Status Database::SpillTable(std::string_view name) {
   return table->SpillToDisk(path, buffer_pool_.get());
 }
 
-StatusOr<ResultSet> Database::ExecuteSelect(const SelectStatement& select,
-                                            const QueryContext* ctx,
-                                            bool force_interpreted) {
+StatusOr<exec::PhysicalPlan> Database::PlanSelect(
+    const SelectStatement& select, const QueryContext* ctx,
+    bool force_interpreted) {
   exec::Planner planner(&catalog_, &registry_, pool_.get(),
                         storage::RowBatch::kDefaultCapacity,
                         options_.morsel_rows, ctx, !force_interpreted,
@@ -143,6 +102,14 @@ StatusOr<ResultSet> Database::ExecuteSelect(const SelectStatement& select,
   if (ctx != nullptr && ctx->stats() != nullptr) {
     exec::AttachQueryStats(plan.root.get(), ctx->stats());
   }
+  return plan;
+}
+
+StatusOr<ResultSet> Database::ExecuteSelect(const SelectStatement& select,
+                                            const QueryContext* ctx,
+                                            bool force_interpreted) {
+  NLQ_ASSIGN_OR_RETURN(exec::PhysicalPlan plan,
+                       PlanSelect(select, ctx, force_interpreted));
   return exec::ExecutePlan(plan, ctx);
 }
 
@@ -264,24 +231,29 @@ Status Database::Cancel(uint64_t query_id) {
 StatusOr<ResultSet> Database::ExecuteStatement(Statement& stmt,
                                                const QueryContext* ctx,
                                                bool force_interpreted) {
+  MemoryTracker* memory = ctx != nullptr ? ctx->memory() : nullptr;
   switch (stmt.kind) {
     case StatementKind::kSelect:
       return ExecuteSelect(*stmt.select, ctx, force_interpreted);
 
     case StatementKind::kCreateTable: {
       CreateTableStatement& create = *stmt.create_table;
-      if (create.as_select != nullptr) {
-        NLQ_ASSIGN_OR_RETURN(
-            ResultSet result,
-            ExecuteSelect(*create.as_select, ctx, force_interpreted));
-        NLQ_ASSIGN_OR_RETURN(
-            PartitionedTable * table,
-            catalog_.CreateTable(create.table_name, result.schema()));
-        NLQ_RETURN_IF_ERROR(AppendResultToTable(result, table));
+      if (create.as_select == nullptr) {
+        NLQ_RETURN_IF_ERROR(
+            catalog_.CreateTable(create.table_name, create.schema).status());
         return ResultSet();
       }
-      NLQ_RETURN_IF_ERROR(
-          catalog_.CreateTable(create.table_name, create.schema).status());
+      // The table exists only once every row is in the writer.
+      NLQ_ASSIGN_OR_RETURN(
+          exec::PhysicalPlan plan,
+          PlanSelect(*create.as_select, ctx, force_interpreted));
+      exec::TableWriter writer(plan.output_schema,
+                               catalog_.default_partitions(), memory);
+      NLQ_RETURN_IF_ERROR(writer.Drain(plan, pool_.get(), ctx));
+      NLQ_ASSIGN_OR_RETURN(
+          PartitionedTable * table,
+          catalog_.CreateTable(create.table_name, plan.output_schema));
+      writer.AppendTo(table);
       return ResultSet();
     }
 
@@ -289,33 +261,38 @@ StatusOr<ResultSet> Database::ExecuteStatement(Statement& stmt,
       InsertStatement& insert = *stmt.insert;
       NLQ_ASSIGN_OR_RETURN(PartitionedTable * table,
                            catalog_.GetTable(insert.table_name));
+      // Every row is produced and type-checked before the first one is
+      // appended: a failed INSERT appends nothing.
+      exec::TableWriter writer(table->schema(), table->num_partitions(),
+                               memory);
       if (insert.select != nullptr) {
         NLQ_ASSIGN_OR_RETURN(
-            ResultSet result,
-            ExecuteSelect(*insert.select, ctx, force_interpreted));
-        NLQ_RETURN_IF_ERROR(AppendResultToTable(result, table));
-        return ResultSet();
-      }
-      // VALUES rows: constant expressions bound against an empty scope.
-      BindingScope empty_scope;
-      for (const auto& value_row : insert.value_rows) {
-        Row row(value_row.size());
-        Status error;
-        Row empty_input;
-        EvalContext ctx;
-        ctx.input = &empty_input;
-        ctx.error = &error;
-        for (size_t c = 0; c < value_row.size(); ++c) {
-          NLQ_ASSIGN_OR_RETURN(
-              BoundExprPtr bound,
-              BindRowExpr(*value_row[c], empty_scope, &registry_));
-          row[c] = bound->Eval(ctx);
+            exec::PhysicalPlan plan,
+            PlanSelect(*insert.select, ctx, force_interpreted));
+        NLQ_RETURN_IF_ERROR(writer.Drain(plan, pool_.get(), ctx));
+      } else {
+        // VALUES rows: constant expressions bound against an empty scope.
+        BindingScope empty_scope;
+        std::vector<Row> rows;
+        rows.reserve(insert.value_rows.size());
+        for (const auto& value_row : insert.value_rows) {
+          Row& row = rows.emplace_back(value_row.size());
+          Status error;
+          Row empty_input;
+          EvalContext eval;
+          eval.input = &empty_input;
+          eval.error = &error;
+          for (size_t c = 0; c < value_row.size(); ++c) {
+            NLQ_ASSIGN_OR_RETURN(
+                BoundExprPtr bound,
+                BindRowExpr(*value_row[c], empty_scope, &registry_));
+            row[c] = bound->Eval(eval);
+          }
+          NLQ_RETURN_IF_ERROR(error);
         }
-        NLQ_RETURN_IF_ERROR(error);
-        NLQ_ASSIGN_OR_RETURN(Row coerced,
-                             CoerceRowToSchema(row, table->schema()));
-        NLQ_RETURN_IF_ERROR(table->AppendRow(coerced));
+        NLQ_RETURN_IF_ERROR(writer.AddRows(rows));
       }
+      writer.AppendTo(table);
       return ResultSet();
     }
 

@@ -23,6 +23,7 @@ namespace nlq::engine {
 
 namespace exec {
 class ViewRegistry;
+struct PhysicalPlan;
 }  // namespace exec
 
 struct SelectStatement;
@@ -272,6 +273,11 @@ class Database {
   StatusOr<ResultSet> ExecuteSelect(const SelectStatement& select,
                                     const QueryContext* ctx,
                                     bool force_interpreted);
+
+  /// Plans a bound SELECT under `ctx`, attaching its stats sink.
+  StatusOr<exec::PhysicalPlan> PlanSelect(const SelectStatement& select,
+                                          const QueryContext* ctx,
+                                          bool force_interpreted);
 
   /// Dispatches a parsed statement under `ctx`.
   StatusOr<ResultSet> ExecuteStatement(Statement& stmt,

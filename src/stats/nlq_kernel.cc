@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -409,7 +410,9 @@ __attribute__((target("avx2"))) void AccumulateSpansAvx2(
 }  // namespace
 
 void ResetNlqState(NlqState* s) {
-  std::memset(s, 0, sizeof(NlqState));
+  // Q is left as it is: SetNlqShape zeroes the part the shape uses, so
+  // a state of small d never touches the pages of the rest.
+  std::memset(s, 0, offsetof(NlqState, q));
   s->d = -1;
   s->kind = static_cast<int32_t>(MatrixKind::kLowerTriangular);
   for (size_t a = 0; a < kMaxUdfDims; ++a) {
@@ -426,6 +429,14 @@ Status SetNlqShape(NlqState* s, size_t d, MatrixKind kind) {
   }
   s->d = static_cast<int32_t>(d);
   s->kind = static_cast<int32_t>(kind);
+  // Every Q slot a kernel reads: rows below d, columns up to the AVX2
+  // kernel's 8-column tile edge (its padding lanes are loaded, then
+  // dropped by masked stores). Slots past it stay uninitialized; merges
+  // and view relocation only copy them.
+  const size_t cols = std::min(kMaxUdfDims, (d + 7) & ~size_t{7});
+  for (size_t a = 0; a < d; ++a) {
+    std::memset(s->q[a], 0, cols * sizeof(double));
+  }
   return Status::OK();
 }
 

@@ -31,11 +31,14 @@ struct NlqState {
   double q[kMaxUdfDims][kMaxUdfDims];
 };
 
-/// INIT: zeroes the state (d = -1, min/max at +/-inf).
+/// INIT: zeroes n and L (d = -1, min/max at +/-inf). Q is not
+/// touched until SetNlqShape.
 void ResetNlqState(NlqState* s);
 
-/// Fixes d and kind on the first row; InvalidArgument when d is
-/// outside 1..kMaxUdfDims.
+/// Fixes d and kind on the first row and zeroes Q's rows below d up to
+/// the kernels' tile edge (d rounded up to 8 columns); the Q slots
+/// past that stay uninitialized, and no reader looks at them.
+/// InvalidArgument when d is outside 1..kMaxUdfDims.
 Status SetNlqShape(NlqState* s, size_t d, MatrixKind kind);
 
 /// ROW: folds one complete (no-NULL) point into `s`. Requires the

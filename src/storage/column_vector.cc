@@ -1,5 +1,8 @@
 #include "storage/column_vector.h"
 
+#include <algorithm>
+#include <functional>
+
 namespace nlq::storage {
 
 void ColumnVector::Reset(DataType t, size_t rows) {
@@ -43,18 +46,23 @@ void ColumnVector::Append(const Datum& v) {
 void ColumnVector::AppendRange(const ColumnVector& src, size_t begin,
                                size_t count) {
   const size_t r0 = size();
+  auto append = [&](auto* values, const auto& from) {
+    if (r0 + count > values->capacity()) {
+      values->reserve(std::max(
+          r0 + count, std::min(2 * values->capacity(), kChunkRows)));
+    }
+    values->insert(values->end(), from.begin() + begin,
+                   from.begin() + begin + count);
+  };
   switch (type) {
     case DataType::kDouble:
-      doubles.insert(doubles.end(), src.doubles.begin() + begin,
-                     src.doubles.begin() + begin + count);
+      append(&doubles, src.doubles);
       break;
     case DataType::kInt64:
-      ints.insert(ints.end(), src.ints.begin() + begin,
-                  src.ints.begin() + begin + count);
+      append(&ints, src.ints);
       break;
     case DataType::kVarchar:
-      strings.insert(strings.end(), src.strings.begin() + begin,
-                     src.strings.begin() + begin + count);
+      append(&strings, src.strings);
       break;
   }
   if (!src.has_nulls() && null_count == 0) return;
@@ -76,6 +84,19 @@ size_t ColumnVector::size() const {
       return ints.size();
     case DataType::kVarchar:
       return strings.size();
+  }
+  return 0;
+}
+
+size_t ColumnVector::KeyHash(size_t r) const {
+  if (has_nulls() && NullBitGet(null_bits.data(), r)) return kNullKeyHash;
+  switch (type) {
+    case DataType::kDouble:
+      return NumericKeyHash(doubles[r]);
+    case DataType::kInt64:
+      return NumericKeyHash(static_cast<double>(ints[r]));
+    case DataType::kVarchar:
+      return std::hash<std::string>()(strings[r]);
   }
   return 0;
 }

@@ -55,11 +55,16 @@ struct ColumnVector {
   void Append(const Datum& v);
 
   /// Appends rows [begin, begin + count) of `src`, a column of the same
-  /// type, values and null bits alike.
+  /// type, values and null bits alike. The value array grows
+  /// geometrically but not past kChunkRows unless the rows need it, so
+  /// a chunk filled by several appends keeps no spare capacity.
   void AppendRange(const ColumnVector& src, size_t begin, size_t count);
 
   /// Rows held.
   size_t size() const;
+
+  /// Datum::KeyHash of row `r`'s value.
+  size_t KeyHash(size_t r) const;
 
   bool has_nulls() const { return null_count > 0; }
   const double* double_data() const { return doubles.data(); }

@@ -24,10 +24,8 @@ uint64_t PartitionedTable::data_bytes() const {
 }
 
 size_t PartitionedTable::RouteRow(const Row& row) const {
-  if (row.empty() || partitions_.size() == 1) return 0;
-  // Fibonacci hashing of the key hash spreads sequential ids evenly.
-  const size_t h = row[0].KeyHash() * 0x9e3779b97f4a7c15ULL;
-  return h % partitions_.size();
+  if (row.empty()) return 0;
+  return RoutePartition(row[0].KeyHash(), partitions_.size());
 }
 
 Status PartitionedTable::AppendRow(const Row& row) {

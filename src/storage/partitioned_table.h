@@ -10,11 +10,21 @@
 
 namespace nlq::storage {
 
+/// The partition, of `num_partitions`, that a row whose key (column 0)
+/// has Datum::KeyHash `key_hash` belongs to: Fibonacci hashing of the
+/// key hash spreads sequential ids evenly. The one routing rule —
+/// PartitionedTable::AppendRow and the engine's table writer, which
+/// routes rows still held in columns, both call it.
+inline size_t RoutePartition(size_t key_hash, size_t num_partitions) {
+  if (num_partitions <= 1) return 0;
+  return key_hash * 0x9e3779b97f4a7c15ULL % num_partitions;
+}
+
 /// Horizontally hash-partitioned table — the shared-nothing layout the
 /// paper's Teradata deployment uses ("data sets were horizontally
 /// partitioned evenly among threads"). Rows are routed by the hash of
-/// the first column (the point id `i`), which spreads a sequential id
-/// space evenly across partitions.
+/// the first column (the point id `i`, see RoutePartition), which spreads
+/// a sequential id space evenly across partitions.
 class PartitionedTable {
  public:
   PartitionedTable(Schema schema, size_t num_partitions);

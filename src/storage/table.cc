@@ -165,34 +165,40 @@ Status Table::SpillToDisk(const std::string& path, BufferPool* pool) {
   return Status::OK();
 }
 
-void Table::AppendDecodedChunk(std::vector<ColumnVector> chunk, size_t rows) {
-  for (const ColumnVector& col : chunk) {
+void Table::AppendColumns(std::vector<ColumnVector> columns) {
+  const size_t rows = columns.empty() ? 0 : columns[0].size();
+  if (rows == 0) return;
+  for (const ColumnVector& col : columns) {
     if (col.type != DataType::kVarchar) {
       data_bytes_ += rows * sizeof(double);
       continue;
     }
     for (const std::string& value : col.strings) data_bytes_ += value.size();
   }
-  const size_t tail_rows =
+  size_t tail_rows =
       static_cast<size_t>((num_rows_ - spilled_rows()) % kChunkRows);
   num_rows_ += rows;
-  if (tail_rows == 0) {
-    chunks_.push_back(std::move(chunk));
+  if (tail_rows == 0 && rows == kChunkRows) {
+    chunks_.push_back(std::move(columns));
     return;
   }
-  // A short chunk came before this one (a spilled table's last spilled
-  // chunk): top up the open tail, then open a fresh one with the rest,
-  // so every resident chunk but the last holds kChunkRows rows.
-  const size_t take = std::min(rows, kChunkRows - tail_rows);
-  std::vector<ColumnVector>& tail = chunks_.back();
-  for (size_t c = 0; c < chunk.size(); ++c) {
-    tail[c].AppendRange(chunk[c], 0, take);
-  }
-  if (take == rows) return;
-  std::vector<ColumnVector>& fresh = chunks_.emplace_back(chunk.size());
-  for (size_t c = 0; c < chunk.size(); ++c) {
-    fresh[c].type = chunk[c].type;
-    fresh[c].AppendRange(chunk[c], take, rows - take);
+  // Top up the open tail (a chunk after a spilled table's short last
+  // chunk counts from the spilled rows), then open fresh chunks, so
+  // every resident chunk but the last holds kChunkRows rows.
+  for (size_t done = 0; done < rows;) {
+    if (tail_rows == 0) {
+      std::vector<ColumnVector>& fresh = chunks_.emplace_back(columns.size());
+      for (size_t c = 0; c < columns.size(); ++c) {
+        fresh[c].type = columns[c].type;
+      }
+    }
+    const size_t take = std::min(rows - done, kChunkRows - tail_rows);
+    std::vector<ColumnVector>& tail = chunks_.back();
+    for (size_t c = 0; c < columns.size(); ++c) {
+      tail[c].AppendRange(columns[c], done, take);
+    }
+    done += take;
+    tail_rows = (tail_rows + take) % kChunkRows;
   }
 }
 
@@ -216,8 +222,8 @@ Status Table::LoadFromFile(const std::string& path) {
   Status status = disk.Open(path, /*truncate=*/false);
   if (status.ok()) {
     status = ReadChunks(disk, schema_,
-                        [this](std::vector<ColumnVector> chunk, size_t rows) {
-                          AppendDecodedChunk(std::move(chunk), rows);
+                        [this](std::vector<ColumnVector> chunk, size_t) {
+                          AppendColumns(std::move(chunk));
                         });
   }
   if (status.ok()) return status;

@@ -146,6 +146,15 @@ class Table {
   /// Appends without schema validation (trusted bulk-load path).
   void AppendRowUnchecked(const Row& row);
 
+  /// Appends the rows held in `columns` — one per schema slot, of the
+  /// slot's type, all the same length, with a null bitmap covering
+  /// every row wherever `null_count > 0` — behind the resident rows:
+  /// the open tail is topped up to kChunkRows, the rest is cut into
+  /// fresh kChunkRows-row chunks, and a whole chunk that starts on a
+  /// chunk boundary is moved in. The bulk path of the table writer and
+  /// LoadFromFile; nothing is validated.
+  void AppendColumns(std::vector<ColumnVector> columns);
+
   /// Encodes every chunk (the open tail included) into a compressed
   /// columnar SpillSegment at `path`, read back through `pool`, and
   /// frees the in-memory columns — the larger-than-RAM mode of the
@@ -194,12 +203,6 @@ class Table {
 
   /// Rows held by the spill segment; resident chunks start here.
   uint64_t spilled_rows() const { return spill_ ? spill_->num_rows() : 0; }
-
-  /// Appends the decoded chunk `chunk` (one column per schema slot,
-  /// `rows` rows each) behind the resident rows: moved in whole when
-  /// the resident chunks are full, otherwise copied into the open tail
-  /// and, past kChunkRows, a fresh one.
-  void AppendDecodedChunk(std::vector<ColumnVector> chunk, size_t rows);
 
   Schema schema_;
   uint64_t num_rows_ = 0;

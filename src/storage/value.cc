@@ -38,14 +38,15 @@ bool Datum::KeyEquals(const Datum& other) const {
   return false;
 }
 
+size_t NumericKeyHash(double v) { return std::hash<double>()(v); }
+
 size_t Datum::KeyHash() const {
-  if (is_null_) return 0x9e3779b97f4a7c15ULL;
+  if (is_null_) return kNullKeyHash;
   switch (type_) {
     case DataType::kDouble:
-      return std::hash<double>()(double_);
+      return NumericKeyHash(double_);
     case DataType::kInt64:
-      // Hash ints through double so 1 and 1.0 group together.
-      return std::hash<double>()(static_cast<double>(int_));
+      return NumericKeyHash(static_cast<double>(int_));
     case DataType::kVarchar:
       return std::hash<std::string>()(string_);
   }

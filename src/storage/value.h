@@ -1,6 +1,7 @@
 #ifndef NLQ_STORAGE_VALUE_H_
 #define NLQ_STORAGE_VALUE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,6 +19,14 @@ enum class DataType : uint8_t {
 
 /// Returns "DOUBLE", "BIGINT" or "VARCHAR".
 const char* DataTypeName(DataType type);
+
+/// Key hash of SQL NULL: every NULL key groups, and routes, together.
+inline constexpr size_t kNullKeyHash = 0x9e3779b97f4a7c15ULL;
+
+/// Key hash of a non-NULL numeric key. BIGINT keys hash through
+/// double, so 1 and 1.0 group together; std::hash<double> gives +0
+/// and -0 one hash.
+size_t NumericKeyHash(double v);
 
 /// A single (nullable) SQL value.
 ///
@@ -77,7 +86,8 @@ class Datum {
   /// SQL-style equality for GROUP BY keys (NULLs compare equal).
   bool KeyEquals(const Datum& other) const;
 
-  /// Hash for GROUP BY / partitioning.
+  /// Hash for GROUP BY / partitioning (kNullKeyHash, NumericKeyHash,
+  /// or the string hash).
   size_t KeyHash() const;
 
   /// Display form ("NULL", number, or raw string).

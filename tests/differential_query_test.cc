@@ -31,12 +31,15 @@
 // mode must reproduce the same bits.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -831,6 +834,93 @@ std::vector<std::string> ModelTableCommands(size_t d, size_t k) {
           "INSERT INTO C VALUES " + c_rows};
 }
 
+/// The byte image of every partition of `table` as Table::SaveToFile
+/// writes it: values, NULL slots and bitmaps, the rows each partition
+/// holds, in order, and where its chunks are cut.
+std::string TableImage(const storage::PartitionedTable& table) {
+  const std::string path = ::testing::TempDir() + "/nlq_diff_image_" +
+                           std::to_string(::getpid());
+  std::string image;
+  for (size_t p = 0; p < table.num_partitions(); ++p) {
+    NLQ_EXPECT_OK(table.partition(p).SaveToFile(path));
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    image += StringPrintf("[partition %zu: %zu rows, %zu bytes]", p,
+                          static_cast<size_t>(table.partition(p).num_rows()),
+                          bytes.size());
+    image += bytes;
+  }
+  ::unlink(path.c_str());
+  return image;
+}
+
+std::string TableImage(Database* db, const std::string& table) {
+  auto t = db->catalog().GetTable(table);
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  return t.ok() ? TableImage(**t) : "";
+}
+
+/// The writer's oracle: `rows` coerced to `schema` value by value
+/// (NULL keeps its slot, numbers cast across DOUBLE and BIGINT) and
+/// appended one at a time through PartitionedTable::AppendRow, which
+/// routes by Datum::KeyHash, into a fresh table of `partitions`
+/// partitions — how CREATE TABLE … AS and INSERT … SELECT used to fill
+/// a table from a gathered result.
+std::string RowAppendImage(const storage::Schema& schema, size_t partitions,
+                           const std::vector<Row>& rows) {
+  storage::PartitionedTable table(schema, partitions);
+  for (const Row& row : rows) {
+    Row coerced(row.size());
+    for (size_t c = 0; c < row.size(); ++c) {
+      const storage::DataType want = schema.column(c).type;
+      if (row[c].is_null()) {
+        coerced[c] = Datum::Null(want);
+      } else if (row[c].type() == want) {
+        coerced[c] = row[c];
+      } else if (want == storage::DataType::kDouble) {
+        coerced[c] = Datum::Double(row[c].AsDouble());
+      } else {
+        coerced[c] = Datum::Int64(static_cast<int64_t>(row[c].AsDouble()));
+      }
+    }
+    NLQ_EXPECT_OK(table.AppendRow(coerced));
+  }
+  return TableImage(table);
+}
+
+/// Runs `compiled_sql` and `interpreted_sql` — the same write into two
+/// tables — compiled and under Interpreted() respectively; they must
+/// agree on the outcome and, when both succeed, on the byte images of
+/// `compiled_table` and `interpreted_table`, which must also equal
+/// `oracle` when one is given. Returns a digest of the image for the
+/// cross-thread comparison.
+std::string CompareWrites(Database* db, const std::string& compiled_sql,
+                          const std::string& interpreted_sql,
+                          const std::string& compiled_table,
+                          const std::string& interpreted_table,
+                          const std::string& oracle = "") {
+  SCOPED_TRACE(compiled_sql);
+  const Status compiled = db->Execute(compiled_sql).status();
+  const Status interpreted =
+      db->Execute(interpreted_sql, Interpreted()).status();
+  EXPECT_EQ(compiled.ToString(), interpreted.ToString());
+  if (!compiled.ok()) return compiled.ToString() + "\n";
+  const std::string image = TableImage(db, compiled_table);
+  EXPECT_TRUE(image == TableImage(db, interpreted_table))
+      << compiled_table << " and " << interpreted_table << " differ";
+  EXPECT_TRUE(oracle.empty() || image == oracle)
+      << compiled_table << " differs from row-at-a-time appends";
+  return StringPrintf("%zu bytes, hash %zx\n", image.size(),
+                      std::hash<std::string>()(image));
+}
+
+void DropIfExists(Database* db, const std::string& table) {
+  if (db->catalog().HasTable(table)) {
+    NLQ_EXPECT_OK(db->ExecuteCommand("DROP TABLE " + table));
+  }
+}
+
 /// `sql` with the pushed predicate `C1.j = 1` turned into one that
 /// empties C1.
 std::string EmptyFirstCentroid(std::string sql) {
@@ -927,6 +1017,69 @@ TEST(DifferentialQueryTest, ScoringProjectionsMatchAcrossThreads) {
       ASSERT_EQ(one_group.num_rows(), 1u);
       EXPECT_EQ(one_group.At(0, 0).int_value(), 0);
       EXPECT_TRUE(one_group.At(0, 1).is_null());
+      // The table writer: every statement above as CREATE TABLE … AS,
+      // plus keys holding NULL, -0.0 / +0.0, NaN (inf - inf) and BIGINT
+      // values, which route rows through the lane and row paths alike;
+      // both must match the row-at-a-time appends it replaced.
+      std::vector<std::string> writes = all;
+      writes.push_back("SELECT X1 * 0.0 AS k, i FROM T");
+      writes.push_back("SELECT X1 / (i % 3) AS k, X1 FROM T");
+      writes.push_back(
+          "SELECT exp(1000 * (i % 2)) - exp(1000 * (i % 2)) AS k, X1 FROM T");
+      writes.push_back("SELECT i % 7 - 3 AS k, X1 * X1 AS q FROM T");
+      for (const std::string& sql : writes) {
+        NLQ_ASSERT_OK_AND_ASSIGN(ResultSet rows,
+                                 db->Execute(sql, Interpreted()));
+        sig += CompareWrites(
+            db.get(), "CREATE TABLE OUTC AS " + sql,
+            "CREATE TABLE OUTI AS " + sql, "OUTC", "OUTI",
+            RowAppendImage(rows.schema(), cfg.partitions, rows.rows()));
+        DropIfExists(db.get(), "OUTC");
+        DropIfExists(db.get(), "OUTI");
+      }
+      // A DOUBLE result into a BIGINT key column: truncated first, then
+      // routed by the truncated value.
+      const std::string into_bigint = "SELECT X1 * 3.7, i FROM T";
+      for (const std::string name : {"OUTC", "OUTI"}) {
+        NLQ_ASSERT_OK(db->ExecuteCommand("CREATE TABLE " + name +
+                                         " (k BIGINT, v DOUBLE)"));
+      }
+      NLQ_ASSERT_OK_AND_ASSIGN(ResultSet bigint_rows,
+                               db->Execute(into_bigint, Interpreted()));
+      NLQ_ASSERT_OK_AND_ASSIGN(storage::PartitionedTable * bigint_table,
+                               db->catalog().GetTable("OUTC"));
+      sig += CompareWrites(
+          db.get(), "INSERT INTO OUTC " + into_bigint,
+          "INSERT INTO OUTI " + into_bigint, "OUTC", "OUTI",
+          RowAppendImage(bigint_table->schema(), cfg.partitions,
+                         bigint_rows.rows()));
+      // INSERT … SELECT behind a spilled table's short last chunk, and
+      // into its own source table, which is read as of the statement's
+      // start: the table doubles.
+      for (const std::string name : {"OUTC", "OUTI"}) {
+        NLQ_ASSERT_OK(db->ExecuteCommand("DROP TABLE " + name));
+        NLQ_ASSERT_OK(db->ExecuteCommand("CREATE TABLE " + name +
+                                         " AS SELECT * FROM T"));
+        NLQ_ASSERT_OK(db->SpillTable(name));
+      }
+      std::string rest;
+      for (size_t a = 2; a <= d; ++a) rest += StringPrintf(", X%zu", a);
+      rest += ", PAD";
+      const std::string appended =
+          " SELECT i, X1 * X1 + 0.5" + rest + " FROM T";
+      sig += CompareWrites(db.get(), "INSERT INTO OUTC" + appended,
+                           "INSERT INTO OUTI" + appended, "OUTC", "OUTI");
+      const std::string self_insert =
+          " SELECT i + 100000, X1 * 2 + 1" + rest + " FROM ";
+      sig += CompareWrites(
+          db.get(), "INSERT INTO OUTC" + self_insert + "OUTC",
+          "INSERT INTO OUTI" + self_insert + "OUTI", "OUTC", "OUTI");
+      NLQ_ASSERT_OK_AND_ASSIGN(ResultSet doubled,
+                               db->Execute("SELECT count(*) FROM OUTC"));
+      EXPECT_EQ(doubled.At(0, 0).int_value(),
+                static_cast<int64_t>(4 * cfg.rows));
+      DropIfExists(db.get(), "OUTC");
+      DropIfExists(db.get(), "OUTI");
       if (baseline.empty()) {
         baseline = sig;
       } else {

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <thread>
+
 #include "engine/database.h"
 #include "tests/test_util.h"
 #include "udf/heap_segment.h"
@@ -34,6 +39,25 @@ class FailAboveUdf : public udf::ScalarUdf {
     if (args[0].AsDouble() > args[1].AsDouble()) {
       return Status::Internal("injected failure");
     }
+    return args[0];
+  }
+};
+
+// A scalar UDF that sleeps 200 us per row: a scan slow enough to
+// outlive a 1 ms deadline.
+class SleepyUdf : public udf::ScalarUdf {
+ public:
+  const std::string& name() const override {
+    static const std::string kName = "sleepy";
+    return kName;
+  }
+  DataType return_type() const override { return DataType::kDouble; }
+  Status CheckArity(size_t num_args) const override {
+    return num_args == 1 ? Status::OK()
+                         : Status::InvalidArgument("sleepy(x) needs 1 arg");
+  }
+  StatusOr<Datum> Invoke(const std::vector<Datum>& args) const override {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
     return args[0];
   }
 };
@@ -100,6 +124,7 @@ class EngineErrorsTest : public ::testing::Test {
   void SetUp() override {
     db_ = nlq::testing::MakeTestDatabase();
     NLQ_ASSERT_OK(db_->udfs().RegisterScalar(std::make_unique<FailAboveUdf>()));
+    NLQ_ASSERT_OK(db_->udfs().RegisterScalar(std::make_unique<SleepyUdf>()));
     NLQ_ASSERT_OK(
         db_->udfs().RegisterAggregate(std::make_unique<HugeStateUdaf>()));
     NLQ_ASSERT_OK(
@@ -383,6 +408,80 @@ TEST_F(EngineErrorsTest, DivisionByZeroInAggregateIsNullNotError) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->At(0, 0).int_value(), 200);
   EXPECT_FALSE(result->At(0, 1).is_null());
+}
+
+int64_t RowCount(Database* db, const std::string& table) {
+  auto result = db->Execute("SELECT count(*) FROM " + table);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? result->At(0, 0).int_value() : -1;
+}
+
+// Every row is type-checked before the first one is appended: an
+// INSERT that fails on a later row leaves the table as it was, whether
+// its rows come from a SELECT or from VALUES.
+TEST_F(EngineErrorsTest, FailedInsertAppendsNothing) {
+  NLQ_ASSERT_OK(db_->ExecuteCommand("CREATE TABLE s (i BIGINT, v VARCHAR)"));
+  NLQ_ASSERT_OK(db_->ExecuteCommand(
+      "INSERT INTO s VALUES (1, NULL), (2, NULL), (3, 'abc')"));
+  NLQ_ASSERT_OK(db_->ExecuteCommand("CREATE TABLE u (x DOUBLE)"));
+
+  Status status = db_->ExecuteCommand("INSERT INTO u SELECT v FROM s");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "cannot coerce VARCHAR to DOUBLE for column 'x'");
+  EXPECT_EQ(RowCount(db_.get(), "u"), 0);
+
+  status = db_->ExecuteCommand("INSERT INTO u VALUES (NULL), ('abc')");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "cannot coerce VARCHAR to DOUBLE for column 'x'");
+  EXPECT_EQ(RowCount(db_.get(), "u"), 0);
+
+  // The NULLs alone coerce; a numeric value never goes into VARCHAR.
+  NLQ_ASSERT_OK(
+      db_->ExecuteCommand("INSERT INTO u SELECT v FROM s WHERE i < 3"));
+  EXPECT_EQ(RowCount(db_.get(), "u"), 2);
+  status = db_->ExecuteCommand("INSERT INTO s SELECT i, v * 2 FROM t");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "cannot coerce DOUBLE to VARCHAR for column 'v'");
+  EXPECT_EQ(RowCount(db_.get(), "s"), 3);
+}
+
+// A CREATE TABLE … AS whose SELECT fails creates no table: the name
+// stays free, whether the scan fails in a UDF, is cancelled, runs out
+// of time or out of memory.
+TEST_F(EngineErrorsTest, FailedCreateTableAsCreatesNothing) {
+  QueryOptions cancelled;
+  cancelled.cancel_token = std::make_shared<std::atomic<bool>>(true);
+  QueryOptions deadline;
+  deadline.timeout_ms = 1;
+  QueryOptions small_budget;
+  small_budget.memory_limit = 1024;
+  struct Case {
+    std::string select;
+    QueryOptions options;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {"SELECT i, fail_above(v, 150) FROM t", QueryOptions(),
+       StatusCode::kInternal},
+      {"SELECT i, v FROM t", cancelled, StatusCode::kCancelled},
+      {"SELECT i, sleepy(v) FROM t", deadline,
+       StatusCode::kDeadlineExceeded},
+      {"SELECT i, v FROM t", small_budget, StatusCode::kResourceExhausted},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.select);
+    for (const bool interpreted : {false, true}) {
+      QueryOptions options = c.options;
+      options.force_interpreted = interpreted;
+      auto result = db_->Execute("CREATE TABLE out AS " + c.select, options);
+      EXPECT_EQ(result.status().code(), c.code) << result.status().ToString();
+      EXPECT_FALSE(db_->catalog().HasTable("out"));
+    }
+  }
+  NLQ_EXPECT_OK(db_->ExecuteCommand("CREATE TABLE out (x DOUBLE)"));
 }
 
 }  // namespace

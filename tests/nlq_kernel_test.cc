@@ -2,8 +2,9 @@
 // every variant behind NlqAccumulateSpans — the blocked scalar oracle
 // and the register-tiled AVX2 path — must leave the *whole* NlqState
 // (d, kind, n, every l/mn/mx slot and all 64 x 64 Q slots, including
-// the ones outside the kind's entries) bit-identical to `rows` calls
-// of the per-row NlqAccumulatePoint, over d = 1..64, all three kinds,
+// the ones outside the kind's entries, which keep FreshState's byte
+// pattern) bit-identical to `rows` calls of the per-row
+// NlqAccumulatePoint, over d = 1..64, all three kinds,
 // row counts on both sides of the 64-row transposed block, spans split
 // across two calls, and inputs holding +-0, +-inf, NaN and subnormals.
 //
@@ -89,8 +90,13 @@ void ExpectSameState(const NlqState& want, const NlqState& got,
   }
 }
 
+/// A state as INIT and the first row leave it. The struct is first
+/// filled with a fixed byte pattern: the Q slots outside the shape's
+/// zeroed region keep it, so a kernel store outside the kind's entries
+/// (an unmasked padding lane) still shows as a mismatch.
 NlqState FreshState(size_t d, MatrixKind kind) {
   NlqState s;
+  std::memset(&s, 0xa5, sizeof(s));
   ResetNlqState(&s);
   EXPECT_TRUE(SetNlqShape(&s, d, kind).ok());
   return s;

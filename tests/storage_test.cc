@@ -8,6 +8,7 @@
 #include <set>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
 #include "storage/column_codec.h"
@@ -478,6 +479,110 @@ std::string ReadFileBytes(const std::string& path) {
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Row `r` of the AppendColumns test table: an id, a DOUBLE that is
+/// NULL on every 97th row when `nulls` is set, and a string.
+Row AppendTestRow(uint64_t r, bool nulls) {
+  return {Datum::Int64(static_cast<int64_t>(r)),
+          nulls && r % 97 == 13 ? Datum::Null(DataType::kDouble)
+                                : Datum::Double(static_cast<double>(r) / 8),
+          Datum::Varchar(std::string(r % 5, 'v'))};
+}
+
+TEST(TableTest, AppendColumnsCutsChunksLikeRowAppends) {
+  // AppendColumns must leave a partition exactly as appending the same
+  // rows one at a time does: same rows, same chunk cuts (the open tail
+  // topped up to kChunkRows first, a spilled table's short last chunk
+  // followed by full resident ones), same data_bytes, same saved bytes,
+  // and a null bitmap covering every row of any chunk holding a NULL.
+  const Schema schema{std::vector<Column>{{"i", DataType::kInt64},
+                                          {"x", DataType::kDouble},
+                                          {"s", DataType::kVarchar}}};
+  BufferPool pool(kPageSize * BufferPool::kMinFrames);
+  enum class Start { kEmpty, kPartialTail, kSpilledShortChunk };
+  const size_t kCounts[] = {0,          1,          kChunkRows - 1,
+                            kChunkRows, kChunkRows + 1, 3 * kChunkRows + 5};
+  int file = 0;
+  for (const Start start :
+       {Start::kEmpty, Start::kPartialTail, Start::kSpilledShortChunk}) {
+    const uint64_t before = start == Start::kEmpty         ? 0
+                            : start == Start::kPartialTail ? 100
+                                                           : kChunkRows + 300;
+    for (const size_t count : kCounts) {
+      for (const bool nulls : {false, true}) {
+        SCOPED_TRACE(StringPrintf("start=%d count=%zu nulls=%d",
+                                  static_cast<int>(start), count, nulls));
+        Table by_rows(schema);
+        Table by_columns(schema);
+        for (Table* t : {&by_rows, &by_columns}) {
+          // The rows before hold NULLs, so a partial tail's bitmap must
+          // also cover the rows appended behind it.
+          for (uint64_t r = 0; r < before; ++r) {
+            t->AppendRowUnchecked(AppendTestRow(r, /*nulls=*/true));
+          }
+          if (start == Start::kSpilledShortChunk) {
+            NLQ_ASSERT_OK(t->SpillToDisk(
+                TempPath(StringPrintf("append_columns_%d.spill", file++)),
+                &pool));
+          }
+        }
+        std::vector<ColumnVector> columns(schema.num_columns());
+        for (size_t c = 0; c < columns.size(); ++c) {
+          columns[c].type = schema.column(c).type;
+        }
+        for (uint64_t r = before; r < before + count; ++r) {
+          const Row row = AppendTestRow(r, nulls);
+          by_rows.AppendRowUnchecked(row);
+          for (size_t c = 0; c < columns.size(); ++c) columns[c].Append(row[c]);
+        }
+        by_columns.AppendColumns(std::move(columns));
+
+        EXPECT_EQ(by_columns.num_rows(), before + count);
+        EXPECT_EQ(by_columns.num_rows(), by_rows.num_rows());
+        EXPECT_EQ(by_columns.data_bytes(), by_rows.data_bytes());
+        // Chunk windows over the whole table: spilled chunks first, then
+        // kChunkRows-row resident chunks and a shorter last one.
+        std::vector<size_t> want_chunks;
+        uint64_t resident = before + count;
+        if (start == Start::kSpilledShortChunk) {
+          want_chunks = {kChunkRows, 300};
+          resident -= before;
+        }
+        for (uint64_t left = resident; left > 0;) {
+          want_chunks.push_back(std::min<uint64_t>(left, kChunkRows));
+          left -= want_chunks.back();
+        }
+        ChunkCursor cursor(&by_columns, {0, 1, 2}, 0, by_columns.num_rows());
+        std::vector<size_t> chunks;
+        while (cursor.Next(kChunkRows)) {
+          chunks.push_back(cursor.rows());
+          for (size_t c = 0; c < cursor.num_columns(); ++c) {
+            const ColumnVector& col = cursor.column(c);
+            EXPECT_EQ(col.size(), cursor.rows());
+            if (!col.has_nulls()) continue;
+            EXPECT_EQ(col.null_bits.size(), NullBitmapWords(col.size()));
+            uint64_t set = 0;
+            for (const uint64_t w : col.null_bits) set += __builtin_popcountll(w);
+            EXPECT_EQ(set, col.null_count);
+          }
+        }
+        NLQ_ASSERT_OK(cursor.status());
+        EXPECT_EQ(chunks, want_chunks);
+
+        const std::string rows_path = TempPath("append_columns_rows.pages");
+        const std::string columns_path = TempPath("append_columns_cols.pages");
+        NLQ_ASSERT_OK(by_rows.SaveToFile(rows_path));
+        NLQ_ASSERT_OK(by_columns.SaveToFile(columns_path));
+        EXPECT_TRUE(ReadFileBytes(rows_path) == ReadFileBytes(columns_path));
+        NLQ_ASSERT_OK_AND_ASSIGN(std::vector<Row> a, by_rows.ReadAllRows());
+        NLQ_ASSERT_OK_AND_ASSIGN(std::vector<Row> b, by_columns.ReadAllRows());
+        EXPECT_EQ(RowsSignature(a), RowsSignature(b));
+        std::remove(rows_path.c_str());
+        std::remove(columns_path.c_str());
+      }
+    }
+  }
 }
 
 TEST(TableTest, CorruptSnapshotSweepFailsCleanly) {
